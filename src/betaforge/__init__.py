@@ -105,6 +105,7 @@ from .tosses_adc import (
     branch_indices,
     denoise_pipeline,
     extract_tosses,
+    replay_tosses,
     validate_quantizer,
 )
 from .cli import MalformedEncodingError, decode_pairing, encode_pairing, run_command

@@ -19,6 +19,7 @@ from .numerics import (
     BetaSpec,
     DomainError,
     SizeGuardError,
+    beta_value,
 )
 from .expand import validate_bits
 from .algebraic import ConjugateBounds, equiv_class, scaled_power_table
@@ -74,9 +75,6 @@ def m_beta_fast(beta: BetaSpec, x: str, bounds: Optional[ConjugateBounds] = None
     n = len(x)
     if n == 0:
         return "", FastRunStats((), 0, None)
-    from .numerics import beta_value
-    from fractions import Fraction
-
     b = beta_value(beta)
     powers, windows = scaled_power_table(beta, n)
     # deficit carried per candidate prefix u: beta^n * value(x) minus the

@@ -35,7 +35,7 @@ from .numerics import (
     Interval,
     NumberFieldContext,
     RationalBeta,
-    StreamBeta,
+    SizeGuardError,
     beta_from_json,
     exact_float,
     format_rational,
@@ -46,6 +46,7 @@ from .expand import (
     greedy_expand,
     lazy_expand,
     random_expand,
+    _delta2,
 )
 from .convert import (
     convert_rational,
@@ -57,11 +58,12 @@ from .convert import (
 from .algebraic import Preset, ConjugateBounds, MinPolyData, builtin_presets, separation_bound
 from .canonical import m_beta_bruteforce, m_beta_fast
 from .multivalued import enumerate_expansions, g_beta_window, nu_measure
-from .tosses_adc import Quantizer, adc_run, denoise_pipeline, extract_tosses, validate_quantizer
+from .tosses_adc import Quantizer, adc_run, denoise_pipeline, replay_tosses, validate_quantizer
 
 __all__ = ["encode_pairing", "decode_pairing", "MalformedEncodingError", "run_command", "main"]
 
 PRESETS_ENV = "BETA_FORGE_PRESETS"
+PAIRING_CAP = 1 << 24  # longest pairing code, in characters, that encode_pairing builds
 
 
 class MalformedEncodingError(BetaForgeError):
@@ -84,6 +86,12 @@ def encode_pairing(items: list[str]) -> str:
     for it in items:
         if it.strip("01"):
             raise DomainError(f"items must be bitstrings, got {it!r}")
+    # the code's length, folded like the code itself and saturated past the cap
+    length = 2 * len(items[0]) + 1 + sum(len(it) for it in items[1:2])
+    for it in items[2:]:
+        length = min(2 * length + 1 + len(it), PAIRING_CAP + 1)
+    if length > PAIRING_CAP:
+        raise SizeGuardError(f"pairing code of {len(items)} items exceeds the {PAIRING_CAP}-character cap")
     if len(items) == 1:
         return _bar(items[0])
     enc = _bar(items[0]) + items[1]
@@ -204,7 +212,7 @@ def parse_value(text: str) -> Fraction:
         bits = text[5:]
         if bits.strip("01"):
             raise DomainError(f"not a bitstring: {bits!r}")
-        return Fraction(int(bits or "0", 2), 1 << len(bits))
+        return _delta2(bits)
     return parse_rational(text)
 
 
@@ -246,13 +254,6 @@ def parse_beta(text: str) -> tuple[BetaSpec, Optional[Preset]]:
     return RationalBeta(parse_rational(text)), None
 
 
-def _beta_for_stream(text: str) -> StreamBeta:
-    spec, _ = parse_beta(text)
-    if isinstance(spec, StreamBeta):
-        return spec
-    return stream_from_exact(spec)
-
-
 def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -276,6 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True)
     p.add_argument("--s", required=True)
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(mode="lazy")
 
     p = cmd("random", "toss-driven expansion prefix")
     p.add_argument("--beta", required=True)
@@ -353,15 +355,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> str:
     cmd = args.command
-    if cmd == "expand":
+    if cmd in ("expand", "lazy"):
         beta, _ = parse_beta(args.beta)
         fn = greedy_expand if args.mode == "greedy" else lazy_expand
         bits = fn(beta, parse_value(args.s), args.n)
         return _json_dump({"bits": bits, "mode": args.mode}) if args.json else bits
-    if cmd == "lazy":
-        beta, _ = parse_beta(args.beta)
-        bits = lazy_expand(beta, parse_value(args.s), args.n)
-        return _json_dump({"bits": bits, "mode": "lazy"}) if args.json else bits
     if cmd == "random":
         beta, _ = parse_beta(args.beta)
         word, trace = random_expand(beta, parse_value(args.s), args.n, parse_tosses(args.tosses))
@@ -398,7 +396,7 @@ def _run(args) -> str:
             )
         return res.bits
     if cmd == "convert-stream":
-        stream = _beta_for_stream(args.beta)
+        stream = stream_from_exact(parse_beta(args.beta)[0])
         res = convert_stream(stream, args.binary, args.chunks)
         if args.json:
             # exact step values can run to thousands of digits; the session
@@ -468,9 +466,7 @@ def _run(args) -> str:
         return "\n".join(" ".join(c.members) for c in part.classes)
     if cmd == "tosses":
         beta, _ = parse_beta(args.beta)
-        x = args.x
-        words = enumerate_expansions(beta, parse_value(args.s), len(x))
-        w = extract_tosses(beta, words, x)
+        w = replay_tosses(beta, parse_value(args.s), args.x)
         return _json_dump({"tosses": w}) if args.json else w
     if cmd in ("adc", "pipeline"):
         beta, preset = parse_beta(args.beta)
@@ -501,17 +497,13 @@ def _run(args) -> str:
         lines = {}
         if preset is not None and args.n is not None:
             lines["separation"] = format_rational(separation_bound(preset.data, preset.bounds, args.n))
-        if isinstance(beta, RationalBeta) and beta.value < 2:
+        base_two = isinstance(beta, RationalBeta) and beta.value == 2
+        if isinstance(beta, RationalBeta) and not base_two:
             pr = params_rational(beta)
             upto = (args.n or 4) + 1
             lines["rational_params"] = {"N": pr.N, "sigma": [pr.sigma(i) for i in range(upto)]}
+        if not base_two:
             ps = params_stream(stream_from_exact(beta))
-            lines["stream_params"] = {"N": ps.N, "L": ps.L, "C_lower": format_rational(ps.C_lower)}
-        elif isinstance(beta, AlgebraicBeta):
-            ps = params_stream(stream_from_exact(beta))
-            lines["stream_params"] = {"N": ps.N, "L": ps.L, "C_lower": format_rational(ps.C_lower)}
-        elif isinstance(beta, StreamBeta):
-            ps = params_stream(beta)
             lines["stream_params"] = {"N": ps.N, "L": ps.L, "C_lower": format_rational(ps.C_lower)}
         if args.json:
             return _json_dump(lines)

@@ -31,7 +31,7 @@ from .numerics import (
     exact_log2_bounds,
     floor_log2,
 )
-from .expand import greedy_prefix, validate_bits
+from .expand import greedy_prefix, validate_bits, _delta2
 
 __all__ = [
     "InsufficientBitsError",
@@ -63,13 +63,6 @@ class InsufficientBitsError(BetaForgeError):
 
 class InvariantViolation(BetaForgeError):
     """A converter step left its certified containment region."""
-
-
-def _delta2(bits: str) -> Fraction:
-    acc = 0
-    for ch in bits:
-        acc = (acc << 1) | (ch == "1")
-    return Fraction(acc, 1 << len(bits)) if bits else Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -153,7 +146,7 @@ def convert_rational(beta, binary_prefix: str, n: int) -> RationalConversion:
                 f"residual={residual} injected={injected} beta={b}"
             )
         chunk, residual = greedy_prefix(spec, total, n_chunk)
-        if i + 1 >= 1 and not (0 <= residual <= 1):
+        if not (0 <= residual <= 1):
             raise InvariantViolation(f"step {i}: residual {residual} left [0, 1]")
         out.append(chunk)
         residuals.append(residual)

@@ -4,7 +4,8 @@ Digits of an expansion of s come from iterating the shift map r -> beta*r - b
 with b chosen by threshold rules: the greedy rule emits 1 whenever possible,
 the lazy rule emits 0 whenever possible, and the randomized rule consults a
 coin toss exactly on the switch region [1/beta, 1/(beta*(beta-1))] where both
-digits stay valid.  All residuals are exact.
+digits stay valid.  All residuals are exact.  Every rule, the comparator
+device in `tosses_adc` included, runs on the one orbit loop `_orbit`.
 """
 
 from __future__ import annotations
@@ -140,8 +141,31 @@ def expansion_domain_max(beta: BetaSpec) -> ExactReal:
 def switch_region(beta: BetaSpec):
     """Endpoints (1/beta, 1/(beta*(beta-1))) of the region where both digits
     remain valid; degenerate exactly at beta = 2."""
-    b = beta_value(beta)
+    return _region(beta_value(beta))
+
+
+def _region(b):
     return _inv(b), _inv(b * (b - 1))
+
+
+def _side(r, lo, hi) -> int:
+    """Where r sits against the switch region [lo, hi]: -1 below it, +1 above
+    it, 0 inside; at most two certified signs."""
+    if exact_cmp(r, lo) < 0:
+        return -1
+    return 1 if exact_cmp(r, hi) > 0 else 0
+
+
+def _orbit(b, r, n, rule):
+    """The shift map r -> b*r - d for n steps, with (d, origin) = rule(i, r):
+    the step leaves from `origin`, which is r unless the rule clamps a
+    forbidden digit (tosses_adc.adc_run).  Returns the word and final residual."""
+    out = []
+    for i in range(n):
+        d, r = rule(i, r)
+        out.append("1" if d else "0")
+        r = b * r - 1 if d else b * r
+    return "".join(out), r
 
 
 def _check_in_domain(b, s):
@@ -162,6 +186,11 @@ def delta_finite(beta: BetaSpec, bits: str) -> ExactReal:
     return acc
 
 
+def _delta2(bits: str) -> Fraction:
+    """Exact value of a 0/1 string read as a binary fraction 0.bits."""
+    return Fraction(int(bits or "0", 2), 1 << len(bits))
+
+
 def tail_bound(beta: BetaSpec, n: int) -> ExactReal:
     """beta^-n / (beta - 1): the largest value n trailing digits can add."""
     b = beta_value(beta)
@@ -173,22 +202,13 @@ def greedy_prefix(beta: BetaSpec, r: ExactReal, n_digits: int):
     beta^n * (r - value(digits)), still inside [0, 1/(beta-1)]."""
     b = beta_value(beta)
     _check_in_domain(b, r)
-    inv_b = _inv(b)
-    out = []
-    for _ in range(n_digits):
-        if exact_cmp(r, inv_b) < 0:
-            out.append("0")
-            r = b * r
-        else:
-            out.append("1")
-            r = b * r - 1
-    return "".join(out), r
+    lo = _inv(b)
+    return _orbit(b, r, n_digits, lambda i, r: (exact_cmp(r, lo) >= 0, r))
 
 
 def greedy_expand(beta: BetaSpec, s: ExactReal, n: int) -> str:
     """n-digit prefix of the lexicographically maximal expansion of s."""
-    bits, _ = greedy_prefix(beta, s, n)
-    return bits
+    return greedy_prefix(beta, s, n)[0]
 
 
 def lazy_expand(beta: BetaSpec, s: ExactReal, n: int) -> str:
@@ -196,16 +216,7 @@ def lazy_expand(beta: BetaSpec, s: ExactReal, n: int) -> str:
     b = beta_value(beta)
     _check_in_domain(b, s)
     hi = _inv(b * (b - 1))
-    out = []
-    r = s
-    for _ in range(n):
-        if exact_cmp(r, hi) <= 0:
-            out.append("0")
-            r = b * r
-        else:
-            out.append("1")
-            r = b * r - 1
-    return "".join(out)
+    return _orbit(b, s, n, lambda i, r: (exact_cmp(r, hi) > 0, r))[0]
 
 
 def random_expand(beta: BetaSpec, s: ExactReal, n: int, tosses: BitStream):
@@ -216,23 +227,17 @@ def random_expand(beta: BetaSpec, s: ExactReal, n: int, tosses: BitStream):
     """
     b = beta_value(beta)
     _check_in_domain(b, s)
-    lo, hi = _inv(b), _inv(b * (b - 1))
-    out = []
+    lo, hi = _region(b)
     trace = []
-    r = s
-    for i in range(n):
-        before = r
-        if exact_cmp(r, lo) < 0:
-            bit, in_switch, toss = 0, False, None
-        elif exact_cmp(r, hi) > 0:
-            bit, in_switch, toss = 1, False, None
-        else:
-            toss = tosses.next_bit()
-            bit, in_switch = toss, True
-        out.append(str(bit))
-        r = b * r - bit
-        trace.append(TraceStep(i, before, bit, in_switch, toss))
-    return "".join(out), trace
+
+    def rule(i, r):
+        side = _side(r, lo, hi)
+        bit = tosses.next_bit() if side == 0 else int(side > 0)
+        trace.append(TraceStep(i, r, bit, side == 0, bit if side == 0 else None))
+        return bit, r
+
+    word, _ = _orbit(b, s, n, rule)
+    return word, trace
 
 
 def landing_threshold(beta: BetaSpec, r: ExactReal) -> LandingInfo:

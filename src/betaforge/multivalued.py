@@ -28,7 +28,7 @@ from .numerics import (
     exact_cmp,
     exact_floor,
 )
-from .expand import delta_finite, validate_bits, _inv, _check_in_domain
+from .expand import delta_finite, tail_bound, validate_bits, _check_in_domain, _delta2, _inv
 from .algebraic import ClassPartition, partition_words
 
 __all__ = [
@@ -139,17 +139,23 @@ def _as_spec(v: ExactReal) -> BetaSpec:
     return RationalBeta(Fraction(v))
 
 
-def _dfs_window(beta: BetaSpec, length: int, lo_w: ExactReal, hi_w: ExactReal, guard: int):
-    """All words of the given length whose exact value lies in [lo_w, hi_w],
-    by depth-first search with reachable-interval pruning."""
-    b = beta_value(beta)
+def _window_table(b: ExactReal, length: int):
+    """inv_pows[i] = beta^-i, the value of a 1 in place i, and remaining[i],
+    the largest value the digits after place i can add, for i = 0..length."""
     inv_b = _inv(b)
     inv_pows = [inv_b - inv_b + 1]
     for _ in range(length):
         inv_pows.append(inv_pows[-1] * inv_b)
     tail_factor = _inv(b - 1)
-    # remaining[i] = largest value addable after i digits are placed
     remaining = [(inv_pows[i] - inv_pows[length]) * tail_factor for i in range(length + 1)]
+    return inv_pows, remaining
+
+
+def _dfs_window(beta: BetaSpec, length: int, lo_w: ExactReal, hi_w: ExactReal, guard: int):
+    """All words of the given length whose exact value lies in [lo_w, hi_w],
+    by depth-first search with reachable-interval pruning."""
+    b = beta_value(beta)
+    inv_pows, remaining = _window_table(b, length)
     out = []
     stack = [(0, b - b, "")]
     while stack:
@@ -184,13 +190,6 @@ def f_2_to_beta(beta: BetaSpec, x: str, guard: int = DEFAULT_SET_GUARD) -> Candi
     return CandidateSet(m, tuple(words), window, n)
 
 
-def _delta2(x: str) -> Fraction:
-    acc = 0
-    for ch in x:
-        acc = (acc << 1) | (ch == "1")
-    return Fraction(acc, 1 << len(x)) if x else Fraction(0)
-
-
 def g_beta_window(beta: BetaSpec, x: str, guard: int = DEFAULT_SET_GUARD) -> ClassPartition:
     """Same-base window around the value of x: every word of equal length
     whose value meets [value(x) - tail, value(x) + tail] widened by 2^-n,
@@ -199,9 +198,8 @@ def g_beta_window(beta: BetaSpec, x: str, guard: int = DEFAULT_SET_GUARD) -> Cla
     n = len(x)
     if n < 1:
         raise DomainError("word must be nonempty")
-    b = beta_value(beta)
     v = delta_finite(beta, x)
-    tail = _inv(b) ** n * _inv(b - 1)
+    tail = tail_bound(beta, n)
     pad = Fraction(1, 1 << n)
     words = _dfs_window(beta, n, v - tail - pad, v + tail + pad, guard)
     return partition_words(beta, words)
@@ -264,12 +262,7 @@ def nu_measure(beta: BetaSpec, m: int, interval: Interval, budget: int = NU_BUDG
     if m > budget:
         raise BudgetExceededError(f"m = {m} exceeds the measure budget {budget}")
     b = beta_value(beta)
-    inv_b = _inv(b)
-    inv_pows = [inv_b - inv_b + 1]
-    for _ in range(m):
-        inv_pows.append(inv_pows[-1] * inv_b)
-    tail_factor = _inv(b - 1)
-    remaining = [(inv_pows[i] - inv_pows[m]) * tail_factor for i in range(m + 1)]
+    inv_pows, remaining = _window_table(b, m)
     lo, hi = interval.lo, interval.hi
 
     def count(i: int, v: ExactReal) -> int:

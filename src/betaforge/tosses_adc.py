@@ -4,10 +4,12 @@ recovery of the coin tosses behind any expansion.
 The comparator answers reliably only outside a band around its threshold;
 inside the band it returns an arbitrary bit, modeled here by an explicit
 replayable toss stream.  When the band sits inside the switch region the
-device still emits a valid expansion of its input.  Conversely, given the
-full prefix set of a value, the tosses that drive the randomized algorithm
-to a particular member are recoverable: they sit exactly at the indices
-where the prefix tree branches.
+device still emits a valid expansion of its input.  Conversely, the tosses
+that drive the randomized algorithm to a particular expansion prefix are
+recoverable: they sit exactly at the indices where the prefix tree branches,
+which are the steps where the prefix's own trajectory visits the switch
+region.  `replay_tosses` reads them off that trajectory in time linear in
+the prefix length; `extract_tosses` reads them off a given full prefix set.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .numerics import (
     exact_cmp,
     exact_sign,
 )
-from .expand import BitStream, switch_region, validate_bits, _check_in_domain, _inv
+from .expand import BitStream, switch_region, validate_bits, _check_in_domain, _orbit, _region, _side
 from .canonical import FastRunStats, m_beta_fast
 from .algebraic import ConjugateBounds
 
@@ -36,6 +38,7 @@ __all__ = [
     "adc_run",
     "branch_indices",
     "extract_tosses",
+    "replay_tosses",
     "denoise_pipeline",
 ]
 
@@ -99,47 +102,57 @@ def adc_run(beta: BetaSpec, q: Quantizer, s: ExactReal, n: int, tosses: BitStrea
 
     In-band residuals consume the next toss; the trajectory's switch-region
     visits and the bits emitted there are recorded, so a sound run can be
-    checked against toss extraction bit for bit.  Residuals that escape the
-    representable interval set the fault flag and are clamped.
+    checked against toss extraction bit for bit.  A digit that would take the
+    residual out of the representable interval sets the fault flag and is
+    clamped: it steps from the nearer switch-region end instead, which lands
+    on 0 or 1/(beta-1) exactly.
     """
     b = beta_value(beta)
     _check_in_domain(b, s)
-    s_lo, s_hi = switch_region(beta)
+    lo, hi = _region(b)
     band_lo = q.t - q.eps
     band_hi = q.t + q.eps
-    top = _inv(b - 1)
-    r = s
-    bits = []
     switch_idx = []
     consumed = []
     fault_idx = []
-    for i in range(n):
-        in_switch = exact_cmp(s_lo, r) <= 0 and exact_cmp(r, s_hi) <= 0
-        if exact_cmp(r, band_lo) < 0:
-            bit = 0
-        elif exact_cmp(r, band_hi) > 0:
-            bit = 1
-        else:
-            bit = tosses.next_bit()
-        if in_switch:
+
+    def rule(i, r):
+        side = _side(r, lo, hi)
+        band = _side(r, band_lo, band_hi)
+        bit = tosses.next_bit() if band == 0 else int(band > 0)
+        if side == 0:
             switch_idx.append(i)
             consumed.append(str(bit))
-        bits.append(str(bit))
-        r = b * r - bit
-        if exact_sign(r) < 0:
+        elif bit != (side > 0):  # 1 below the region or 0 above it
             fault_idx.append(i)
-            r = r - r  # clamp to 0
-        elif exact_cmp(r, top) > 0:
-            fault_idx.append(i)
-            r = top
-    return RunRecord(
-        "".join(bits),
-        tuple(switch_idx),
-        "".join(consumed),
-        r,
-        bool(fault_idx),
-        tuple(fault_idx),
-    )
+            r = lo if bit else hi
+        return bit, r
+
+    bits, r = _orbit(b, s, n, rule)
+    return RunRecord(bits, tuple(switch_idx), "".join(consumed), r, bool(fault_idx), tuple(fault_idx))
+
+
+def replay_tosses(beta: BetaSpec, s: ExactReal, x: str) -> str:
+    """Tosses that make the randomized algorithm emit x from s, found in one
+    pass: x's digits at the steps where its trajectory sits in the switch
+    region.  Equals extract_tosses over the full prefix set of s."""
+    b = beta_value(beta)
+    _check_in_domain(b, s)
+    validate_bits(x)
+    lo, hi = _region(b)
+    tosses = []
+
+    def rule(i, r):
+        side = _side(r, lo, hi)
+        bit = x[i] == "1"
+        if side == 0:
+            tosses.append(x[i])
+        elif bit != (side > 0):
+            raise DomainError("word is not a member of the given prefix set")
+        return bit, r
+
+    _orbit(b, s, len(x), rule)
+    return "".join(tosses)
 
 
 def branch_indices(expansions: Sequence[str], x: str) -> tuple[int, ...]:

@@ -36,6 +36,36 @@ def lazy_oracle(beta: Fraction, s: Fraction, n: int) -> str:
     return "".join(out)
 
 
+def adc_oracle(beta: Fraction, t: Fraction, eps: Fraction, s: Fraction, n: int, tosses: str):
+    """The comparator loop with a post-step clamp: a step that leaves
+    [0, 1/(beta-1)] is a fault, and the residual is clamped to the end it
+    crossed.  Returns (bits, switch_indices, consumed_tosses, residual,
+    fault, fault_indices)."""
+    lo, hi, top = 1 / beta, 1 / (beta * (beta - 1)), 1 / (beta - 1)
+    toss = iter(tosses)
+    r = s
+    bits, switch, consumed, faults = [], [], [], []
+    for i in range(n):
+        if r < t - eps:
+            bit = 0
+        elif r > t + eps:
+            bit = 1
+        else:
+            bit = int(next(toss))
+        if lo <= r <= hi:
+            switch.append(i)
+            consumed.append(str(bit))
+        bits.append(str(bit))
+        r = beta * r - bit
+        if r < 0:
+            faults.append(i)
+            r = Fraction(0)
+        elif r > top:
+            faults.append(i)
+            r = top
+    return "".join(bits), tuple(switch), "".join(consumed), r, bool(faults), tuple(faults)
+
+
 def delta_oracle(beta: Fraction, bits: str) -> Fraction:
     acc = Fraction(0)
     for ch in reversed(bits):

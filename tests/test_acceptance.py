@@ -206,6 +206,7 @@ def test_c08_enumeration_ground_truth(golden):
             assert words[-1] == bf.greedy_expand(spec, s, n)
             assert words[0] == bf.lazy_expand(spec, s, n)
             x = words[rng.randrange(len(words))]
+            assert bf.replay_tosses(spec, s, x) == bf.extract_tosses(spec, words, x)
             part = bf.g_beta_window(spec, x)
             hit = [k for k, c in enumerate(part.classes) if any(w in words for w in c.members)]
             assert hit == list(range(hit[0], hit[-1] + 1))

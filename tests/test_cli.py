@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import betaforge as bf
-from betaforge.cli import decode_pairing, encode_pairing, parse_tosses, run_command
+from betaforge.cli import PAIRING_CAP, decode_pairing, encode_pairing, parse_tosses, run_command
 
 TABLE1 = {
     "2": "11000000000000000000000000000000000000000000000000",
@@ -48,6 +48,14 @@ class TestPairing:
     def test_round_trip_unequal_with_arity(self):
         items = ["100", "1"]
         assert decode_pairing(encode_pairing(items), arity=2) == items
+
+    def test_length_cap(self):
+        # k equal items of length L encode to (2^k - 1) L + 2^(k-1) - 1 characters
+        assert len(encode_pairing(["01"] * 18)) == (2**18 - 1) * 2 + 2**17 - 1 <= PAIRING_CAP
+        with pytest.raises(bf.SizeGuardError):
+            encode_pairing(["0"] * 40)
+        with pytest.raises(bf.SizeGuardError):
+            encode_pairing(["1" * (PAIRING_CAP // 2)])
 
     def test_malformed(self):
         with pytest.raises(bf.MalformedEncodingError):
@@ -107,6 +115,21 @@ class TestSubcommands:
     def test_tosses(self):
         status, out, _ = run_command(["tosses", "--beta", "golden", "--s", "1", "--x", "101011"])
         assert status == 0 and out == "101011"
+
+    def test_tosses_long_word(self):
+        n = 400
+        stream = parse_tosses("seed:5")
+        word, _ = bf.random_expand(bf.get_preset("golden").beta, Fraction(1, 3), n, stream)
+        replay = parse_tosses("seed:5")
+        consumed = "".join(str(replay.next_bit()) for _ in range(stream.consumed))
+        status, out, _ = run_command(["tosses", "--beta", "golden", "--s", "1/3", "--x", word])
+        assert status == 0 and out == consumed
+
+    def test_enumerate_pairing_over_cap(self):
+        # 61 words of length 14 would encode to (2^61 - 1) * 14 + 2^60 - 1 characters
+        status, out, err = run_command(["enumerate", "--beta", "3/2", "--s", "1/2", "--n", "14", "--pairing"])
+        assert status == 1 and out == ""
+        assert err.startswith("error:") and "cap" in err
 
     def test_adc_and_pipeline(self):
         args = ["--beta", "golden", "--t", "0.809016994", "--eps", "0.19", "--s", "3/4", "--n", "10", "--tosses", "zeros"]

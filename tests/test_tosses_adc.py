@@ -4,6 +4,7 @@ import pytest
 
 import betaforge as bf
 from conftest import random_rational
+from oracles import adc_oracle
 
 B32 = bf.RationalBeta(Fraction(3, 2))
 B2 = bf.RationalBeta(Fraction(2))
@@ -117,6 +118,7 @@ class TestExtractTosses:
                 words = bf.enumerate_expansions(spec, s, n)
                 consumed = "".join(str(t.toss_consumed) for t in trace if t.in_switch)
                 assert bf.extract_tosses(spec, words, word) == consumed
+                assert bf.replay_tosses(spec, s, word) == consumed
                 # branch positions equal the switch visits of the trajectory
                 assert bf.branch_indices(words, word) == tuple(t.index for t in trace if t.in_switch)
 
@@ -143,6 +145,76 @@ class TestExtractTosses:
             assert h - prev in (0, 1)
             assert h <= n
             prev = h
+
+
+class TestAdcFaults:
+    def test_every_field_matches_post_step_clamp(self, rng):
+        faulting = 0
+        for beta in (Fraction(3, 2), Fraction(7, 4), Fraction(2)):
+            spec = bf.RationalBeta(beta)
+            lo, hi, top = 1 / beta, 1 / (beta * (beta - 1)), 1 / (beta - 1)
+            for k in range(80):
+                # odd k: a sound band inside the switch region; even k: any band
+                span = (lo, hi) if k % 2 else (Fraction(0), top)
+                a, b = sorted(random_rational(rng, *span) for _ in range(2))
+                q = bf.Quantizer((a + b) / 2, (b - a) / 2)
+                s = random_rational(rng, Fraction(0), top)
+                n = rng.randrange(1, 40)
+                tosses = format(rng.getrandbits(n), f"0{n}b")
+                rec = bf.adc_run(spec, q, s, n, bf.BitStream.from_bits(tosses))
+                fields = (rec.bits, rec.switch_indices, rec.consumed_tosses, rec.residual, rec.fault, rec.fault_indices)
+                assert fields == adc_oracle(beta, q.t, q.eps, s, n, tosses)
+                assert isinstance(rec.residual, Fraction)
+                if k % 2:
+                    assert not rec.fault
+                faulting += rec.fault
+        assert faulting >= 20
+
+    def test_clamped_residual_and_bits_after_fault(self):
+        # 11/20 at base 2 with a zero toss faults at once; the residual is
+        # clamped to 1 = 1/(beta-1) and the device keeps emitting ones
+        q = bf.Quantizer(Fraction(1, 2), Fraction(1, 10))
+        rec = bf.adc_run(B2, q, Fraction(11, 20), 6, bf.BitStream.constant(0))
+        assert (rec.bits, rec.fault_indices, rec.residual) == ("011111", (0,), Fraction(1))
+        # a one emitted below the switch region clamps to 0
+        q = bf.Quantizer(Fraction(1, 4), Fraction(1, 4))
+        rec = bf.adc_run(B32, q, Fraction(1, 3), 3, bf.BitStream.constant(1))
+        assert (rec.bits, rec.fault_indices, rec.residual) == ("111", (0, 1, 2), Fraction(0))
+
+    def test_field_base_faults_land_on_interval_ends(self, golden):
+        b = golden.beta.element()
+        q = bf.Quantizer(Fraction(1, 4), Fraction(1, 4))
+        rec = bf.adc_run(golden.beta, q, Fraction(1, 3), 2, bf.BitStream.constant(1))
+        assert rec.fault_indices == (0, 1) and rec.residual.is_zero()
+        q = bf.Quantizer(Fraction(3, 2), Fraction(1, 10))
+        rec = bf.adc_run(golden.beta, q, Fraction(3, 2), 1, bf.BitStream.constant(0))
+        assert rec.fault_indices == (0,) and rec.residual == (b - 1).inverse()
+
+
+class TestReplayTosses:
+    def test_equals_extraction_on_every_member(self, rng, golden):
+        for spec in (B32, golden.beta):
+            for _ in range(10):
+                s = random_rational(rng)
+                words = bf.enumerate_expansions(spec, s, rng.randrange(1, 11))
+                for x in words:
+                    assert bf.replay_tosses(spec, s, x) == bf.extract_tosses(spec, words, x)
+
+    def test_membership_and_bits_required(self, golden):
+        with pytest.raises(bf.DomainError, match="not a member of the given prefix set"):
+            bf.replay_tosses(golden.beta, Fraction(1), "0000")
+        with pytest.raises(bf.DomainError, match="bitstring"):
+            bf.replay_tosses(golden.beta, Fraction(1), "10a1")
+        assert bf.replay_tosses(golden.beta, Fraction(1), "") == ""
+
+    def test_long_words(self, rng, golden):
+        # far beyond any enumerable prefix set: the replay is one pass
+        n = 1000
+        for spec in (B32, golden.beta):
+            toss_bits = format(rng.getrandbits(n), f"0{n}b")
+            stream = bf.BitStream.from_bits(toss_bits)
+            word, _ = bf.random_expand(spec, Fraction(1, 3), n, stream)
+            assert bf.replay_tosses(spec, Fraction(1, 3), word) == toss_bits[: stream.consumed]
 
 
 class TestPipeline:
