@@ -5,7 +5,12 @@ Two routes are provided: an exhaustive class search usable as an oracle on
 short inputs, and a level sweep that carries one lexicographically maximal
 representative per reachable value class from left to right.  For a base
 whose conjugates lie inside the unit disk the number of classes alive per
-level stays bounded, which is what makes the sweep run in linear time.
+level stays bounded, which is what makes the sweep take a linear number of
+steps.  The sweep runs on integer coordinates in Q(beta), a rational base
+p/q being the degree-1 case q*x - p: its state is one digit weight, one
+window and the live deficits, each an integer vector of O(n) bits.  On
+other bases the classes per level can grow without bound, and more than
+SWEEP_CLASS_CAP of them stop the sweep with SizeGuardError.
 """
 
 from __future__ import annotations
@@ -18,11 +23,14 @@ from .numerics import (
     BetaForgeError,
     BetaSpec,
     DomainError,
+    MalformedContextError,
     SizeGuardError,
     beta_value,
+    _zdiv_beta,
+    _zmul_beta,
 )
 from .expand import validate_bits
-from .algebraic import ConjugateBounds, equiv_class, scaled_power_table
+from .algebraic import ConjugateBounds, equiv_class
 
 __all__ = [
     "FastRunStats",
@@ -33,6 +41,8 @@ __all__ = [
 ]
 
 BRUTEFORCE_GUARD = 20
+# classes one sweep level may hold; only a non-Pisot base gets near it
+SWEEP_CLASS_CAP = 1 << 16
 
 
 class PisotWidthError(BetaForgeError):
@@ -67,54 +77,51 @@ def m_beta_fast(beta: BetaSpec, x: str, bounds: Optional[ConjugateBounds] = None
     window 0 <= deficit <= (what the remaining digits can contribute).  The
     final level forces deficit 0, so the survivor is the class maximum.
 
+    Every base runs on integer coordinates: values are scaled by
+    a^(n-1) beta^n, with a the leading coefficient of the minimal polynomial
+    (q*x - p for a rational base p/q), which makes every digit weight
+    a^(n-1) beta^k (k < n) an integer vector.  The sweep keeps one weight,
+    one window and the live deficits, each of O(n) bits, and walks the
+    weights down by exact division by beta; signs go through the context's
+    certified evaluator.
+
     Returns (canonical word, FastRunStats).  When `bounds` declares the base
     Pisot, per-level class counts are checked against the derived width
-    bound and a violation raises PisotWidthError.
+    bound and a violation raises PisotWidthError; on any base more than
+    SWEEP_CLASS_CAP classes at one level raise SizeGuardError.
     """
     validate_bits(x)
     n = len(x)
     if n == 0:
         return "", FastRunStats((), 0, None)
     b = beta_value(beta)
-    powers, windows = scaled_power_table(beta, n)
-    # deficit carried per candidate prefix u: beta^n * value(x) minus the
-    # scaled digits of u placed so far; the sweep ends at deficit 0 exactly
-    deficit0 = powers[0] - powers[0]
-    for j, ch in enumerate(x):
-        if ch == "1":
-            deficit0 = deficit0 + powers[n - j - 1]
-
-    # the sweep runs on raw representations: plain rationals, or coefficient
-    # tuples signed through the context's integer interval evaluator
     if isinstance(b, Fraction):
-        pw = powers
-        wins = windows
-        d0 = deficit0
+        poly = (-b.numerator, b.denominator)
 
-        def feasible(d2, win):
-            return 0 <= d2 <= win
-
-        def is_zero(d2):
-            return d2 == 0
-
-        def minus(a, p):
-            return a - p
+        def sign(v):
+            return (v[0] > 0) - (v[0] < 0)
 
     else:
-        ctx = b.ctx
-        sgn = ctx.sign_of_coeffs
-        pw = [p.coeffs for p in powers]
-        wins = [w.coeffs for w in windows]
-        d0 = deficit0.coeffs
+        poly = b.ctx.minpoly
+        sign = b.ctx.sign_of_coeffs
+        if poly[0] == 0:  # the sweep divides by beta
+            raise MalformedContextError("minimal polynomial has the root 0, so it is reducible")
+    a = poly[-1]
 
-        def feasible(d2, win):
-            return sgn(d2) >= 0 and sgn(tuple(a - c for a, c in zip(d2, win))) <= 0
-
-        def is_zero(d2):
-            return not any(d2)
-
-        def minus(a, p):
-            return tuple(c - q for c, q in zip(a, p))
+    # one ascending pass: weight runs through a^(n-1) beta^k for k < n, the
+    # window sums all of them, and the deficit of the empty prefix sums the
+    # weights under x's ones
+    weight = [a ** (n - 1)] + [0] * (len(poly) - 2)
+    window = weight
+    deficit = [0] * len(weight)
+    for k in range(n):
+        if k:
+            weight = _zmul_beta(poly, weight)
+            if a != 1:
+                weight = [c // a for c in weight]
+            window = [u + w for u, w in zip(window, weight)]
+        if x[n - 1 - k] == "1":
+            deficit = [u + w for u, w in zip(deficit, weight)]
 
     width_bound = None
     width_cap = None
@@ -122,19 +129,24 @@ def m_beta_fast(beta: BetaSpec, x: str, bounds: Optional[ConjugateBounds] = None
         width_bound = _pisot_width_bound(beta, bounds)
         width_cap = -(-width_bound.numerator // width_bound.denominator)  # ceil
 
-    level = [(d0, "")]
+    level = [(tuple(deficit), "")]
     counts = []
     steps = 0
     for i in range(1, n + 1):
-        p = pw[n - i]
-        win = wins[i]
+        if i > 1:
+            weight = _zdiv_beta(poly, weight)
+        window = [u - w for u, w in zip(window, weight)]
         last = i == n
         fresh: dict = {}
         for deficit, word in level:
             for digit in (1, 0):
                 steps += 1
-                d2 = minus(deficit, p) if digit else deficit
-                if is_zero(d2) if last else feasible(d2, win):
+                d2 = tuple(u - w for u, w in zip(deficit, weight)) if digit else deficit
+                if (
+                    not any(d2)
+                    if last
+                    else sign(d2) >= 0 and sign([u - w for u, w in zip(d2, window)]) <= 0
+                ):
                     if d2 not in fresh:
                         fresh[d2] = word + str(digit)
         level = list(fresh.items())
@@ -142,6 +154,10 @@ def m_beta_fast(beta: BetaSpec, x: str, bounds: Optional[ConjugateBounds] = None
         if width_cap is not None and len(level) > width_cap:
             raise PisotWidthError(
                 f"{len(level)} classes alive at level {i}, above the declared bound {width_bound}"
+            )
+        if len(level) > SWEEP_CLASS_CAP:
+            raise SizeGuardError(
+                f"{len(level)} classes alive at level {i}, above the sweep cap {SWEEP_CLASS_CAP}"
             )
         if not level:
             raise DomainError("level sweep lost all candidates; invalid input word")

@@ -494,17 +494,18 @@ def _run(args) -> str:
         return res.raw + "\n" + res.canonical
     if cmd == "bounds":
         beta, preset = parse_beta(args.beta)
+        if isinstance(beta, RationalBeta) and beta.value == 2:
+            # not a preset, and both converter schedules need beta < 2
+            raise DomainError("bounds: base 2 has no separation bound and no converter schedule")
         lines = {}
         if preset is not None and args.n is not None:
             lines["separation"] = format_rational(separation_bound(preset.data, preset.bounds, args.n))
-        base_two = isinstance(beta, RationalBeta) and beta.value == 2
-        if isinstance(beta, RationalBeta) and not base_two:
+        if isinstance(beta, RationalBeta):
             pr = params_rational(beta)
             upto = (args.n or 4) + 1
             lines["rational_params"] = {"N": pr.N, "sigma": [pr.sigma(i) for i in range(upto)]}
-        if not base_two:
-            ps = params_stream(stream_from_exact(beta))
-            lines["stream_params"] = {"N": ps.N, "L": ps.L, "C_lower": format_rational(ps.C_lower)}
+        ps = params_stream(stream_from_exact(beta))
+        lines["stream_params"] = {"N": ps.N, "L": ps.L, "C_lower": format_rational(ps.C_lower)}
         if args.json:
             return _json_dump(lines)
         return "\n".join(f"{k}={_json_dump(v)}" for k, v in sorted(lines.items()))

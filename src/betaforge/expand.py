@@ -5,7 +5,10 @@ with b chosen by threshold rules: the greedy rule emits 1 whenever possible,
 the lazy rule emits 0 whenever possible, and the randomized rule consults a
 coin toss exactly on the switch region [1/beta, 1/(beta*(beta-1))] where both
 digits stay valid.  All residuals are exact.  Every rule, the comparator
-device in `tosses_adc` included, runs on the one orbit loop `_orbit`.
+device in `tosses_adc` included, runs on the one orbit loop `_orbit` and
+declares up front the thresholds it compares against.  On a field base the
+orbit steps integer coordinates over one shared denominator and decides
+each comparison with a certified sign; a rational base steps Fractions.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ from .numerics import (
     exact_cmp,
     exact_float,
     exact_sign,
+    _zcoords,
+    _zelement,
+    _zmul_beta,
 )
 
 __all__ = [
@@ -148,24 +154,69 @@ def _region(b):
     return _inv(b), _inv(b * (b - 1))
 
 
-def _side(r, lo, hi) -> int:
-    """Where r sits against the switch region [lo, hi]: -1 below it, +1 above
-    it, 0 inside; at most two certified signs."""
-    if exact_cmp(r, lo) < 0:
+def _side(sign, lo, hi) -> int:
+    """Where the residual sits against the region between cuts `lo` and `hi`
+    of its orbit: -1 below it, +1 above it, 0 inside; at most two signs."""
+    if sign(lo) < 0:
         return -1
-    return 1 if exact_cmp(r, hi) > 0 else 0
+    return 1 if sign(hi) > 0 else 0
 
 
-def _orbit(b, r, n, rule):
-    """The shift map r -> b*r - d for n steps, with (d, origin) = rule(i, r):
-    the step leaves from `origin`, which is r unless the rule clamps a
-    forbidden digit (tosses_adc.adc_run).  Returns the word and final residual."""
+def _orbit(b, r, n, rule, cuts=()):
+    """The shift map r -> b*r - d for n steps, with (d, origin) =
+    rule(i, sign, residual).  The rule compares the residual only with the
+    thresholds `cuts` it declares: sign(k) is the certified sign of
+    r - cuts[k], and residual() builds the exact r.  The step leaves from r
+    when origin is None, else from cuts[origin] (a clamp, see
+    tosses_adc.adc_run).  Returns the word and the final residual.
+
+    Rational bases step Fractions.  Field bases step integer coordinates over
+    one shared denominator, and every sign goes through the context's
+    certified evaluator; the exact residual is built only when asked for.
+    """
     out = []
+    if isinstance(b, Fraction):
+
+        def sign(k):
+            c = cuts[k]
+            return (r > c) - (r < c)
+
+        def residual():
+            return r
+
+        for i in range(n):
+            d, origin = rule(i, sign, residual)
+            if origin is not None:
+                r = cuts[origin]
+            out.append("1" if d else "0")
+            r = b * r - 1 if d else b * r
+        return "".join(out), r
+
+    ctx = b.ctx
+    poly = ctx.minpoly
+    a = poly[-1]
+    sgn = ctx.sign_of_coeffs
+    den, (v, *cut_v) = _zcoords(ctx.degree, (r,) + tuple(cuts))
+
+    def sign(k):
+        return sgn([x - y for x, y in zip(v, cut_v[k])])
+
+    def residual():
+        return r if r is not None else _zelement(ctx, den, v)
+
     for i in range(n):
-        d, r = rule(i, r)
+        d, origin = rule(i, sign, residual)
+        if origin is not None:
+            v = cut_v[origin]
         out.append("1" if d else "0")
-        r = b * r - 1 if d else b * r
-    return "".join(out), r
+        v = _zmul_beta(poly, v)
+        if a != 1:  # a*beta*v sits over a*den; the cuts follow
+            den *= a
+            cut_v = [[a * x for x in c] for c in cut_v]
+        if d:
+            v[0] -= den
+        r = None  # the residual now lives in v / den only
+    return "".join(out), residual()
 
 
 def _check_in_domain(b, s):
@@ -202,8 +253,7 @@ def greedy_prefix(beta: BetaSpec, r: ExactReal, n_digits: int):
     beta^n * (r - value(digits)), still inside [0, 1/(beta-1)]."""
     b = beta_value(beta)
     _check_in_domain(b, r)
-    lo = _inv(b)
-    return _orbit(b, r, n_digits, lambda i, r: (exact_cmp(r, lo) >= 0, r))
+    return _orbit(b, r, n_digits, lambda i, sign, _: (sign(0) >= 0, None), (_inv(b),))
 
 
 def greedy_expand(beta: BetaSpec, s: ExactReal, n: int) -> str:
@@ -216,7 +266,7 @@ def lazy_expand(beta: BetaSpec, s: ExactReal, n: int) -> str:
     b = beta_value(beta)
     _check_in_domain(b, s)
     hi = _inv(b * (b - 1))
-    return _orbit(b, s, n, lambda i, r: (exact_cmp(r, hi) > 0, r))[0]
+    return _orbit(b, s, n, lambda i, sign, _: (sign(0) > 0, None), (hi,))[0]
 
 
 def random_expand(beta: BetaSpec, s: ExactReal, n: int, tosses: BitStream):
@@ -227,16 +277,15 @@ def random_expand(beta: BetaSpec, s: ExactReal, n: int, tosses: BitStream):
     """
     b = beta_value(beta)
     _check_in_domain(b, s)
-    lo, hi = _region(b)
     trace = []
 
-    def rule(i, r):
-        side = _side(r, lo, hi)
+    def rule(i, sign, residual):
+        side = _side(sign, 0, 1)
         bit = tosses.next_bit() if side == 0 else int(side > 0)
-        trace.append(TraceStep(i, r, bit, side == 0, bit if side == 0 else None))
-        return bit, r
+        trace.append(TraceStep(i, residual(), bit, side == 0, bit if side == 0 else None))
+        return bit, None
 
-    word, _ = _orbit(b, s, n, rule)
+    word, _ = _orbit(b, s, n, rule, _region(b))
     return word, trace
 
 

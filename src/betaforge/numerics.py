@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _gcd
+from math import lcm
 from typing import Callable, Iterator, Sequence, Union
 
 __all__ = [
@@ -208,22 +208,17 @@ class NumberFieldContext:
     def sign_of_coeffs(self, coeffs) -> int:
         """Certified sign of sum(coeffs[i] * root^i) using integer interval
         evaluation over a dyadic enclosure of the root; exact zero only for
-        the zero coefficient vector."""
-        nz = [i for i, c in enumerate(coeffs) if c]
-        if not nz:
-            return 0
-        if nz == [0]:
-            c = coeffs[0]
-            return (c > 0) - (c < 0)
-        denom_lcm = 1
+        the zero coefficient vector.  All-int input is evaluated as given;
+        Fraction coefficients are first scaled to integers."""
+        ints = coeffs
         for c in coeffs:
-            d = c.denominator if isinstance(c, Fraction) else 1
-            if d != 1:
-                denom_lcm = denom_lcm * d // _gcd(denom_lcm, d)
-        ints = [
-            (c.numerator * (denom_lcm // c.denominator)) if isinstance(c, Fraction) else c * denom_lcm
-            for c in coeffs
-        ]
+            if type(c) is not int:
+                den = lcm(*(f.denominator for f in coeffs if isinstance(f, Fraction)))
+                ints = [f.numerator * (den // f.denominator) if isinstance(f, Fraction) else f * den for f in coeffs]
+                break
+        if not any(ints[1:]):
+            c = ints[0]
+            return (c > 0) - (c < 0)
         d = len(ints)
         bits = 64
         for _ in range(24):
@@ -248,6 +243,48 @@ class NumberFieldContext:
 
     def __repr__(self):
         return f"NumberFieldContext(minpoly={list(self.minpoly)}, isolating=({self._lo}, {self._hi}))"
+
+
+# Integer coordinates: an element of Q(beta) as a list v of ints over one
+# positive denominator, value sum(v[j] * beta^j) / den.  With a the leading
+# coefficient of the minimal polynomial, a*beta*v is again integral, so the
+# shift map and the level sweep step without any Fraction arithmetic.
+
+
+def _zcoords(degree: int, xs) -> tuple[int, list[list[int]]]:
+    """(den, vectors): integer coordinates of the exact reals `xs` (Fractions,
+    ints or field elements) over one common denominator."""
+    rows = [
+        x.coeffs if isinstance(x, NumberFieldElement) else (Fraction(x),) + (Fraction(0),) * (degree - 1)
+        for x in xs
+    ]
+    den = lcm(*(c.denominator for cs in rows for c in cs))
+    return den, [[c.numerator * (den // c.denominator) for c in cs] for cs in rows]
+
+
+def _zmul_beta(poly: Sequence[int], v: list[int]) -> list[int]:
+    """a*beta*v for integer coordinates v, where a = poly[-1] leads the
+    ascending minimal polynomial `poly`; the value sits over a times the
+    denominator of v."""
+    a = poly[-1]
+    w = [0] + (v[:-1] if a == 1 else [a * x for x in v[:-1]])
+    top = v[-1]
+    if top:
+        w = [x - top * c for x, c in zip(w, poly)]
+    return w
+
+
+def _zdiv_beta(poly: Sequence[int], v: list[int]) -> list[int]:
+    """v / beta over the same denominator, for integer coordinates v whose
+    quotient is integral; every division below is then exact."""
+    a = poly[-1]
+    t = -a * v[0] // poly[0]
+    return [x + c * t // a for x, c in zip(v[1:], poly[1:])] + [t]
+
+
+def _zelement(ctx: NumberFieldContext, den: int, v: list[int]) -> "NumberFieldElement":
+    """The field element with integer coordinates v over den."""
+    return NumberFieldElement(ctx, [Fraction(x, den) for x in v])
 
 
 _SIGN_MAX_REFINEMENTS = 4000

@@ -109,26 +109,24 @@ def adc_run(beta: BetaSpec, q: Quantizer, s: ExactReal, n: int, tosses: BitStrea
     """
     b = beta_value(beta)
     _check_in_domain(b, s)
-    lo, hi = _region(b)
-    band_lo = q.t - q.eps
-    band_hi = q.t + q.eps
     switch_idx = []
     consumed = []
     fault_idx = []
 
-    def rule(i, r):
-        side = _side(r, lo, hi)
-        band = _side(r, band_lo, band_hi)
+    # cuts: the switch region (0, 1), then the comparator band (2, 3)
+    def rule(i, sign, _):
+        side = _side(sign, 0, 1)
+        band = _side(sign, 2, 3)
         bit = tosses.next_bit() if band == 0 else int(band > 0)
         if side == 0:
             switch_idx.append(i)
             consumed.append(str(bit))
         elif bit != (side > 0):  # 1 below the region or 0 above it
             fault_idx.append(i)
-            r = lo if bit else hi
-        return bit, r
+            return bit, 0 if bit else 1
+        return bit, None
 
-    bits, r = _orbit(b, s, n, rule)
+    bits, r = _orbit(b, s, n, rule, _region(b) + (q.t - q.eps, q.t + q.eps))
     return RunRecord(bits, tuple(switch_idx), "".join(consumed), r, bool(fault_idx), tuple(fault_idx))
 
 
@@ -139,19 +137,18 @@ def replay_tosses(beta: BetaSpec, s: ExactReal, x: str) -> str:
     b = beta_value(beta)
     _check_in_domain(b, s)
     validate_bits(x)
-    lo, hi = _region(b)
     tosses = []
 
-    def rule(i, r):
-        side = _side(r, lo, hi)
+    def rule(i, sign, _):
+        side = _side(sign, 0, 1)
         bit = x[i] == "1"
         if side == 0:
             tosses.append(x[i])
         elif bit != (side > 0):
             raise DomainError("word is not a member of the given prefix set")
-        return bit, r
+        return bit, None
 
-    _orbit(b, s, len(x), rule)
+    _orbit(b, s, len(x), rule, _region(b))
     return "".join(tosses)
 
 

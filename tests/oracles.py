@@ -1,12 +1,21 @@
 """Independent oracles used to compute expected values.
 
-Everything here is deliberately self-contained: plain Fraction loops, integer
+Most of this is deliberately self-contained: plain Fraction loops, integer
 coordinates modulo a monic polynomial, and a private bisection for root
-brackets.  Nothing imports the package under test, so these results can be
-frozen into assertions against it.
+brackets; those results can be frozen into assertions against the package.
+
+The last section keeps the element-based shift-map orbit and the table-based
+level sweep that integer coordinates replaced.  They run on the package's
+exact elements (Fractions and `NumberFieldElement`, compared with
+`exact_cmp`) and share with it only that element arithmetic and the
+certified sign evaluator, so they serve as differential oracles for
+`expand._orbit`, its digit rules and `canonical.m_beta_fast`.
 """
 
 from fractions import Fraction
+
+import betaforge as bf
+from betaforge.algebraic import scaled_power_table
 
 
 def greedy_oracle(beta: Fraction, s: Fraction, n: int) -> str:
@@ -196,3 +205,128 @@ def enumerate_oracle_field(minpoly, iso, s: Fraction, n: int, bits: int = 120):
         if above_zero >= 0 and below_one >= 0:
             out.append(w)
     return sorted(out)
+
+
+# --- element-based orbit and table-based sweep -----------------------------
+
+
+def element_orbit(b, r, n, rule):
+    """The shift map r -> b*r - d on exact elements, with (d, origin) =
+    rule(i, r); the step leaves from `origin`."""
+    out = []
+    for i in range(n):
+        d, r = rule(i, r)
+        out.append("1" if d else "0")
+        r = b * r - 1 if d else b * r
+    return "".join(out), r
+
+
+def _element_region(b):
+    return 1 / b, 1 / (b * (b - 1))
+
+
+def _element_side(r, lo, hi):
+    if bf.exact_cmp(r, lo) < 0:
+        return -1
+    return 1 if bf.exact_cmp(r, hi) > 0 else 0
+
+
+def greedy_prefix_elements(beta, r, n):
+    b = bf.beta_value(beta)
+    lo = 1 / b
+    return element_orbit(b, r, n, lambda i, r: (bf.exact_cmp(r, lo) >= 0, r))
+
+
+def lazy_expand_elements(beta, s, n):
+    b = bf.beta_value(beta)
+    hi = _element_region(b)[1]
+    return element_orbit(b, s, n, lambda i, r: (bf.exact_cmp(r, hi) > 0, r))[0]
+
+
+def random_expand_elements(beta, s, n, tosses: str):
+    """(word, steps) with steps = (index, residual, bit, in_switch, toss)."""
+    b = bf.beta_value(beta)
+    lo, hi = _element_region(b)
+    toss = iter(tosses)
+    steps = []
+
+    def rule(i, r):
+        side = _element_side(r, lo, hi)
+        bit = int(next(toss)) if side == 0 else int(side > 0)
+        steps.append((i, r, bit, side == 0, bit if side == 0 else None))
+        return bit, r
+
+    return element_orbit(b, s, n, rule)[0], steps
+
+
+def adc_run_elements(beta, t, eps, s, n, tosses: str):
+    """(bits, switch_indices, consumed_tosses, residual, fault, fault_indices)
+    of the comparator loop with the pre-step clamp."""
+    b = bf.beta_value(beta)
+    lo, hi = _element_region(b)
+    band_lo, band_hi = t - eps, t + eps
+    toss = iter(tosses)
+    switch, consumed, faults = [], [], []
+
+    def rule(i, r):
+        side = _element_side(r, lo, hi)
+        band = _element_side(r, band_lo, band_hi)
+        bit = int(next(toss)) if band == 0 else int(band > 0)
+        if side == 0:
+            switch.append(i)
+            consumed.append(str(bit))
+        elif bit != (side > 0):
+            faults.append(i)
+            r = lo if bit else hi
+        return bit, r
+
+    bits, r = element_orbit(b, s, n, rule)
+    return bits, tuple(switch), "".join(consumed), r, bool(faults), tuple(faults)
+
+
+def replay_tosses_elements(beta, s, x):
+    """x's digits at its switch-region visits, or None when x leaves the
+    prefix set of s."""
+    b = bf.beta_value(beta)
+    lo, hi = _element_region(b)
+    out = []
+    for i, ch in enumerate(x):
+        side = _element_side(s, lo, hi)
+        bit = ch == "1"
+        if side == 0:
+            out.append(ch)
+        elif bit != (side > 0):
+            return None
+        s = b * s - 1 if bit else b * s
+    return "".join(out)
+
+
+def sweep_elements(beta, x):
+    """(word, per-level class counts, steps) of the level sweep over the
+    power and window tables of `scaled_power_table`, keyed by exact values."""
+    n = len(x)
+    powers, windows = scaled_power_table(beta, n)
+    deficit = powers[0] - powers[0]
+    for j, ch in enumerate(x):
+        if ch == "1":
+            deficit = deficit + powers[n - j - 1]
+    level = [(deficit, "")]
+    counts = []
+    steps = 0
+    for i in range(1, n + 1):
+        p, win = powers[n - i], windows[i]
+        fresh = {}
+        for deficit, word in level:
+            for digit in (1, 0):
+                steps += 1
+                d2 = deficit - p if digit else deficit
+                if i == n:
+                    ok = d2 == 0
+                else:
+                    ok = bf.exact_sign(d2) >= 0 and bf.exact_cmp(d2, win) <= 0
+                key = getattr(d2, "coeffs", d2)
+                if ok and key not in fresh:
+                    fresh[key] = (d2, word + str(digit))
+        level = list(fresh.values())
+        counts.append(len(level))
+    return level[0][1], tuple(counts), steps

@@ -103,6 +103,27 @@ class TestFast:
             bf.m_beta_fast(sqrt2.beta, x, wrong)
 
 
+class TestSweepCap:
+    # random words on which a non-Pisot base keeps more than 2^16 classes
+    # alive at one level; uncapped, each sweep ran past 20 s and gigabytes
+    WORDS = {
+        "3/2": "001011110010110110010000101001101001101001011011110101101101",
+        "sqrt2": "001011110010110110010000101001101001101001011",
+    }
+
+    @pytest.mark.parametrize("name", sorted(WORDS))
+    def test_non_pisot_sweep_stops_at_cap(self, name):
+        spec = bf.get_preset(name).beta if name == "sqrt2" else bf.RationalBeta(Fraction(name))
+        with pytest.raises(bf.SizeGuardError, match="sweep cap"):
+            bf.m_beta_fast(spec, self.WORDS[name])
+
+    def test_zero_constant_term_rejected(self):
+        # x (x^2 + x - 3) has a root in (1, 2) but is reducible
+        spec = bf.beta_from_json({"minpoly": [0, -3, 1, 1], "isolating": ["5/4", "27/20"]})
+        with pytest.raises(bf.MalformedContextError):
+            bf.m_beta_fast(spec, "011")
+
+
 class TestPrefixwise:
     def test_identity_base_is_consistent(self, sqrt2, rng):
         x = format(rng.getrandbits(12), "012b")

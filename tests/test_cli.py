@@ -147,6 +147,17 @@ class TestSubcommands:
         expect = Fraction(38, 100) / Fraction(1_618_034, 10 ** 6) ** 3
         assert payload["separation"] == f"{expect.numerator}/{expect.denominator}"
 
+    def test_bounds_base_two_is_an_error(self):
+        for extra in ([], ["--n", "3"], ["--json"]):
+            status, out, err = run_command(["bounds", "--beta", "2"] + extra)
+            assert status == 1 and out == ""
+            assert err.startswith("error:") and "base 2" in err
+
+    def test_canonicalize_non_pisot_sweep_cap(self):
+        status, out, err = run_command(["canonicalize", "--beta", "cbrt2", "--bits", "001011110010110110010000101001"])
+        assert status == 1 and out == ""
+        assert err.startswith("error:") and "sweep cap" in err
+
     def test_measure(self):
         status, out, _ = run_command(["measure", "--beta", "golden", "--m", "2", "--lo", "1", "--hi", "1"])
         assert status == 0 and out == "1/4"
