@@ -139,16 +139,17 @@ def m_beta_fast(beta: BetaSpec, x: str, bounds: Optional[ConjugateBounds] = None
         last = i == n
         fresh: dict = {}
         for deficit, word in level:
-            for digit in (1, 0):
-                steps += 1
-                d2 = tuple(u - w for u, w in zip(deficit, weight)) if digit else deficit
-                if (
-                    not any(d2)
-                    if last
-                    else sign(d2) >= 0 and sign([u - w for u, w in zip(d2, window)]) <= 0
-                ):
-                    if d2 not in fresh:
-                        fresh[d2] = word + str(digit)
+            # every live deficit d satisfies 0 <= d <= window_(i-1) (level 1:
+            # x's deficit sums some of the weights), so d - weight <= window_i
+            # and d >= 0 hold already: each candidate needs one sign
+            steps += 2
+            d1 = tuple(u - w for u, w in zip(deficit, weight))
+            if ((not any(d1)) if last else sign(d1) >= 0) and d1 not in fresh:
+                fresh[d1] = word + "1"
+            if (
+                (not any(deficit)) if last else sign([u - w for u, w in zip(deficit, window)]) <= 0
+            ) and deficit not in fresh:
+                fresh[deficit] = word + "0"
         level = list(fresh.items())
         counts.append(len(level))
         if width_cap is not None and len(level) > width_cap:
@@ -168,10 +169,12 @@ def m_beta_fast(beta: BetaSpec, x: str, bounds: Optional[ConjugateBounds] = None
 
 def _pisot_width_bound(beta: BetaSpec, bounds: ConjugateBounds) -> Fraction:
     # classes per level <= 1 / ((beta - 1) * prod |1 - |z||); certify with a
-    # rational lower bracket of beta and the certified pi_lower
+    # rational lower bracket of beta, bisected from the isolating interval so
+    # the printed bound does not depend on process history, and the
+    # certified pi_lower
     ctx = getattr(beta, "ctx", None)
     if ctx is not None:
-        lo, _ = ctx.refine(Fraction(1, 1 << 24))
+        lo, _ = ctx.bracket(Fraction(1, 1 << 24))
     else:
         lo = beta.value
     return 1 / ((lo - 1) * bounds.pi_lower)

@@ -192,8 +192,11 @@ def _dyadic_log2_upper(a: Fraction, precision_bits: int = 16) -> Fraction:
 
 def stream_from_exact(beta: BetaSpec, bracket_bits: int = 48) -> StreamBeta:
     """View an exactly known base as a stream base: the greedy binary digits
-    of beta - 1 are generated on demand in exact arithmetic, and the brackets
-    are exact for a rational base or a refined enclosure for an algebraic one."""
+    of beta - 1 are generated on demand in exact arithmetic.  The brackets
+    are exact for a rational base; for an algebraic one they are the context's
+    `bracket` of width 2^-bracket_bits, bisected from the isolating interval,
+    so the schedule `params_stream` derives from them does not depend on
+    what ran before in the process."""
     if isinstance(beta, StreamBeta):
         return beta
     b = beta_value(beta)
@@ -213,7 +216,7 @@ def stream_from_exact(beta: BetaSpec, bracket_bits: int = 48) -> StreamBeta:
                 r = 2 * r
 
     if isinstance(beta, AlgebraicBeta):
-        lo, hi = beta.ctx.refine(Fraction(1, 1 << bracket_bits))
+        lo, hi = beta.ctx.bracket(Fraction(1, 1 << bracket_bits))
         return StreamBeta(gen, lo, hi)
     return StreamBeta(gen, b, b)
 
@@ -319,6 +322,7 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
         return acc
 
     emitted = ""
+    emitted_value = Fraction(0)  # value of `emitted` against the current approximant
     residual = Fraction(0)
     diags = []
     total_cap = 1 + 3 * c_low
@@ -326,8 +330,10 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
         b_cur = approximants[i]
         b_next = approximants[i + 1]
         step_slice = binary_prefix[sigmas[i] : sigmas[i + 1]]
-        injected = b_next ** (n_chunk * i) / Fraction(1 << sigmas[i]) * _delta2(step_slice)
-        correction = b_next ** (n_chunk * i) * (word_value(b_cur, emitted) - word_value(b_next, emitted))
+        scale = b_next ** (n_chunk * i)
+        injected = scale / Fraction(1 << sigmas[i]) * _delta2(step_slice)
+        reread = word_value(b_next, emitted)
+        correction = scale * (emitted_value - reread)
 
         def fail(msg):
             # exact values can run to thousands of digits; dump approximations
@@ -360,7 +366,8 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
         step_residual = residual
         residual = ratio * shifted
         emitted += chunk
-        approx_gap = _delta2(binary_prefix[: sigmas[i + 1]]) - word_value(b_next, emitted)
+        emitted_value = reread + word_value(b_next, chunk) / scale
+        approx_gap = _delta2(binary_prefix[: sigmas[i + 1]]) - emitted_value
         tail = Fraction(1) / (b_next ** (n_chunk * (i + 1)) * (b_next - 1))
         if not (0 <= approx_gap <= tail):
             fail("emitted word drifted from the binary prefix")

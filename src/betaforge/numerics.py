@@ -113,10 +113,12 @@ class NumberFieldContext:
 
     The context owns a shared, monotonically refined enclosure of the root,
     used to certify signs of field elements.  Refinement is idempotent and
-    lock-protected, so contexts are safe to share across threads.
+    lock-protected, so contexts are safe to share across threads.  Brackets
+    whose endpoints are used as values come from `bracket`, which always
+    starts from the isolating interval.
     """
 
-    __slots__ = ("minpoly", "degree", "_lo", "_hi", "_lock", "_pow_rows", "_dyadic")
+    __slots__ = ("minpoly", "degree", "isolating", "_lo", "_hi", "_lock", "_pow_rows", "_dyadic", "_brackets")
 
     def __init__(self, minpoly: Sequence[int], isolating: tuple[Fraction, Fraction]):
         coeffs = tuple(int(c) for c in minpoly)
@@ -139,11 +141,13 @@ class NumberFieldContext:
                 raise MalformedContextError("isolating endpoint is a root")
         elif slo == shi:
             raise MalformedContextError("minimal polynomial does not change sign over the isolating interval")
+        self.isolating = (lo, hi)
         self._lo = lo
         self._hi = hi
         self._lock = threading.Lock()
         self._pow_rows = self._reduction_rows()
         self._dyadic = None
+        self._brackets = {}
 
     def _poly_sign(self, q: Fraction) -> int:
         acc = Fraction(0)
@@ -167,27 +171,44 @@ class NumberFieldContext:
     def enclosure(self) -> tuple[Fraction, Fraction]:
         return self._lo, self._hi
 
+    def _bisect(self, lo: Fraction, hi: Fraction, max_width: Fraction) -> tuple[Fraction, Fraction]:
+        """Bisect the root enclosure [lo, hi] until it is at most `max_width` wide."""
+        s_hi = self._poly_sign(hi)
+        if s_hi == 0:  # rational root sitting on the endpoint
+            s_hi = 1
+        while hi - lo > max_width:
+            mid = (lo + hi) / 2
+            s_mid = self._poly_sign(mid)
+            if s_mid == 0:
+                # mid is the root itself; pin an interval around it
+                eps = max_width / 4
+                return mid - eps, mid + eps
+            if s_mid == s_hi:
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi
+
     def refine(self, max_width: Fraction) -> tuple[Fraction, Fraction]:
-        """Shrink the cached root enclosure below `max_width` by bisection."""
+        """Shrink the shared root enclosure below `max_width` by bisection.
+
+        The enclosure only ever narrows, so the result is as fine as the
+        finest request made before in the process: use it where any
+        enclosure will do (sign certification, floats), and `bracket` where
+        the endpoints themselves are scheduled from or printed."""
         with self._lock:
-            lo, hi = self._lo, self._hi
-            s_hi = self._poly_sign(hi)
-            if s_hi == 0:  # rational root sitting on the endpoint
-                s_hi = 1
-            while hi - lo > max_width:
-                mid = (lo + hi) / 2
-                s_mid = self._poly_sign(mid)
-                if s_mid == 0:
-                    # mid is the root itself; pin an interval around it
-                    eps = max_width / 4
-                    lo, hi = mid - eps, mid + eps
-                    break
-                if s_mid == s_hi:
-                    hi = mid
-                else:
-                    lo = mid
-            self._lo, self._hi = lo, hi
-            return lo, hi
+            self._lo, self._hi = self._bisect(self._lo, self._hi, max_width)
+            return self._lo, self._hi
+
+    def bracket(self, max_width: Fraction) -> tuple[Fraction, Fraction]:
+        """Root bracket of width at most `max_width`, bisected from the
+        isolating interval: a pure function of the minimal polynomial, the
+        isolating interval and `max_width`, whatever ran before.  Memoized
+        per width."""
+        got = self._brackets.get(max_width)
+        if got is None:
+            got = self._brackets[max_width] = self._bisect(*self.isolating, max_width)
+        return got
 
     def root_float(self) -> float:
         lo, hi = self.refine(Fraction(1, 1 << 60))
@@ -242,7 +263,8 @@ class NumberFieldContext:
         )
 
     def __repr__(self):
-        return f"NumberFieldContext(minpoly={list(self.minpoly)}, isolating=({self._lo}, {self._hi}))"
+        lo, hi = self.isolating
+        return f"NumberFieldContext(minpoly={list(self.minpoly)}, isolating=({lo}, {hi}))"
 
 
 # Integer coordinates: an element of Q(beta) as a list v of ints over one

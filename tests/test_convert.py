@@ -198,3 +198,31 @@ class TestConvertStream:
         bad = bf.beta_from_json({"bits": "1" + "0" * 400, "lo": "8/5", "hi": "17/10"})
         with pytest.raises(bf.InvariantViolation):
             bf.convert_stream(bad, "0" * 400, 2)
+
+
+def test_algebraic_brackets_ignore_process_history(golden, tribonacci):
+    """Stream brackets, schedules, bits and the sweep's width bound are the
+    same before and after the shared enclosure is refined, and equal to the
+    values of a context that never ran anything."""
+    prefix = greedy_oracle(Fraction(2), Fraction(5, 7), 600)
+
+    def observe(specs):
+        out = []
+        for spec in specs:
+            stream = bf.stream_from_exact(spec)
+            res = bf.convert_stream(stream, prefix, 2)
+            out.append((stream.lo, stream.hi, res.params, res.bits))
+        out.append(bf.m_beta_fast(specs[0], "1011", golden.bounds)[1])
+        return out
+
+    presets = [golden.beta, tribonacci.beta]
+    before = observe(presets)
+    for spec in presets:
+        float(spec.element())
+        spec.ctx.refine(Fraction(1, 1 << 256))
+    after = observe(presets)
+    unused = observe([bf.AlgebraicBeta(bf.NumberFieldContext(s.ctx.minpoly, s.ctx.isolating)) for s in presets])
+    assert before == after == unused
+    assert before[0][2].C_lower == Fraction(10079425698833, 97853120206746)
+    assert before[1][2].C_lower == Fraction(113091892082969, 3543573298162026)
+    assert before[2].pisot_width_bound == Fraction(629145600, 147756673)

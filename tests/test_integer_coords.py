@@ -16,6 +16,7 @@ from oracles import (
     lazy_expand_elements,
     random_expand_elements,
     replay_tosses_elements,
+    root_bracket,
     sweep_elements,
 )
 
@@ -155,7 +156,7 @@ def test_sweep_word_counts_steps_width(case):
     for x in words:
         width = None
         if bounds is not None and bounds.pisot:
-            lo, _ = spec.ctx.refine(Fraction(1, 1 << 24))
+            lo, _ = root_bracket(spec.ctx.minpoly, *spec.ctx.isolating, 24)
             width = 1 / ((lo - 1) * bounds.pi_lower)
         word, stats = bf.m_beta_fast(spec, x, bounds)
         assert (word, stats.per_level_class_counts, stats.total_steps) == sweep_elements(spec, x)
@@ -164,16 +165,21 @@ def test_sweep_word_counts_steps_width(case):
 
 @pytest.mark.parametrize("name", PISOT)
 def test_sweep_makes_the_element_sweeps_signs(name, monkeypatch):
+    """One certified sign per candidate on every level but the last, which
+    tests for exact zero: fewer than the element sweep's up to two."""
     spec, bounds, _ = base(name)
     x = rand_bits(random.Random(7), 300)
     calls = []
     sign = NumberFieldContext.sign_of_coeffs
     monkeypatch.setattr(NumberFieldContext, "sign_of_coeffs", lambda ctx, c: calls.append(1) or sign(ctx, c))
-    sweep_elements(spec, x)
-    expect = len(calls)
+    for n in (2, 3, 40, 300):
+        del calls[:]
+        _, stats = bf.m_beta_fast(spec, x[:n], bounds)
+        swept = len(calls)
+        assert swept == 2 * (1 + sum(stats.per_level_class_counts[: n - 2]))
     del calls[:]
-    bf.m_beta_fast(spec, x, bounds)
-    assert len(calls) == expect > 300
+    sweep_elements(spec, x)
+    assert len(calls) > swept
 
 
 def test_sweep_state_stays_small(tribonacci):
