@@ -3,7 +3,10 @@ value-equivalence of equal-length digit words, and class enumeration.
 
 Two equal-length words are equivalent when their digit sums against inverse
 powers of the base agree exactly; for an algebraic base this is decidable in
-the number field.  A certified separation bound keeps non-equivalent values
+the number field.  `equiv`, `equiv_class` and the canonicalizer's level
+sweep decide it on one integer walk over the digit weights
+a^(n-1) beta^k, each an integer coordinate vector (`_weight_walk`), with
+certified signs.  A certified separation bound keeps non-equivalent values
 apart, which is what makes windowed class enumeration terminate with exact
 answers.
 """
@@ -20,10 +23,12 @@ from .numerics import (
     BetaSpec,
     DomainError,
     ExactReal,
+    MalformedContextError,
     NumberFieldContext,
     beta_value,
     exact_cmp,
-    exact_sign,
+    _zdiv_beta,
+    _zmul_beta,
 )
 from .expand import validate_bits
 
@@ -40,7 +45,6 @@ __all__ = [
     "equiv_class",
     "is_generalized_garsia",
     "partition_words",
-    "scaled_power_table",
 ]
 
 
@@ -164,25 +168,74 @@ def is_generalized_garsia(data: MinPolyData) -> bool:
     return data.leading == 1 and abs(data.constant) >= 2
 
 
-def scaled_power_table(beta: BetaSpec, n: int):
-    """Powers beta^0 .. beta^(n-1) plus suffix sums used as feasibility windows.
-
-    Returns (powers, windows) with windows[i] = sum of beta^k for k < n - i,
-    so windows[n] = 0.  Working with values scaled by beta^n keeps all digit
-    arithmetic free of divisions.
-    """
-    b = beta_value(beta)
-    powers = [b - b + 1]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * b)
-    windows = [b - b] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        windows[i] = windows[i + 1] + powers[n - i - 1]
-    return powers, windows
-
-
 def _value_key(v: ExactReal):
     return v.coeffs if hasattr(v, "coeffs") else v
+
+
+def _weight_walk(beta: BetaSpec, words: Sequence[str]):
+    """The integer weight walk behind every equal-length word test.
+
+    Values are scaled by a^(n-1) beta^n, where a leads the ascending integer
+    polynomial of the base (q*x - p for a rational base p/q, else the minimal
+    polynomial), so every digit weight a^(n-1) beta^k (k < n) is an integer
+    coordinate vector.  Returns (sign, deficits, levels): `sign` certifies
+    the sign of such a vector, deficits[j] sums the weights under the ones
+    of words[j] (its scaled value), and `levels` yields (weight_i, window_i)
+    for i = 1..n, the weight of digit i and the sum of the weights after it.
+    """
+    b = beta_value(beta)
+    if isinstance(b, Fraction):
+        poly = (-b.numerator, b.denominator)
+
+        def sign(v):
+            return (v[0] > 0) - (v[0] < 0)
+
+    else:
+        poly = b.ctx.minpoly
+        sign = b.ctx.sign_of_coeffs
+        if poly[0] == 0:  # the walk divides by beta
+            raise MalformedContextError("minimal polynomial has the root 0, so it is reducible")
+    a = poly[-1]
+    n = len(words[0])
+    # one ascending pass: weight runs through a^(n-1) beta^k for k < n, the
+    # window sums all of them, and each deficit the weights under its ones
+    weight = [a ** max(n - 1, 0)] + [0] * (len(poly) - 2)
+    window = weight
+    deficits = [[0] * len(weight) for _ in words]
+    for k in range(n):
+        if k:
+            weight = _zmul_beta(poly, weight)
+            if a != 1:
+                weight = [c // a for c in weight]
+            window = [u + w for u, w in zip(window, weight)]
+        for j, word in enumerate(words):
+            if word[n - 1 - k] == "1":
+                deficits[j] = [u + w for u, w in zip(deficits[j], weight)]
+
+    def levels(weight, window):
+        for i in range(1, n + 1):
+            if i > 1:
+                weight = _zdiv_beta(poly, weight)
+            window = [u - w for u, w in zip(window, weight)]
+            yield weight, window
+
+    return sign, deficits, levels(weight, window)
+
+
+def _children(sign, level, weight, window, last):
+    """The (deficit, word) extensions of each live prefix in `level` by digit
+    1, then digit 0, whose deficit the remaining digits can still cancel.
+
+    Every live deficit d satisfies 0 <= d <= window_(i-1) (level 1: x's
+    deficit sums some of the weights), so d - weight <= window_i and d >= 0
+    hold already and each candidate needs one sign; at the last level the
+    window is 0 and the test is exact zero."""
+    for deficit, word in level:
+        d1 = tuple(u - w for u, w in zip(deficit, weight))
+        if (not any(d1)) if last else sign(d1) >= 0:
+            yield d1, word + "1"
+        if (not any(deficit)) if last else sign([u - w for u, w in zip(deficit, window)]) <= 0:
+            yield deficit, word + "0"
 
 
 def equiv(beta: BetaSpec, x: str, y: str) -> bool:
@@ -191,49 +244,35 @@ def equiv(beta: BetaSpec, x: str, y: str) -> bool:
     validate_bits(y)
     if len(x) != len(y):
         raise DomainError(f"length mismatch: {len(x)} vs {len(y)}")
-    b = beta_value(beta)
-    acc = b - b
-    for cx, cy in zip(x, y):
-        acc = acc * b + (int(cx) - int(cy))
-    return exact_sign(acc) == 0
+    sign, (dx, dy), _ = _weight_walk(beta, (x, y))
+    return sign([u - v for u, v in zip(dx, dy)]) == 0
 
 
 def equiv_class(beta: BetaSpec, x: str) -> list[str]:
     """All equal-length words sharing the exact value of x, sorted.
 
-    Depth-first search over digit prefixes, pruned to the window of scaled
-    deficits that remaining digits can still cancel, with exact equality at
-    the leaves.
+    The level sweep's weight walk without its merge: every prefix whose
+    deficit the remaining digits can still cancel stays alive, and the class
+    is the set of words that end at deficit 0.  The prefixes are searched
+    depth first, so memory stays at the n weights and windows plus a stack,
+    however many prefixes a level holds.
     """
     validate_bits(x)
     n = len(x)
     if n == 0:
         return [""]
-    powers, windows = scaled_power_table(beta, n)
-    # deficit(u) = beta^n * value(x) - sum_{j<=|u|} u_j beta^(n-j); a prefix u
-    # stays viable while its remaining digits can still cancel the deficit,
-    # and class members are exactly the words ending at deficit 0
-    deficit0 = powers[0] - powers[0]
-    for j, ch in enumerate(x):
-        if ch == "1":
-            deficit0 = deficit0 + powers[n - j - 1]
+    sign, (deficit,), levels = _weight_walk(beta, (x,))
+    levels = list(levels)
     out = []
-    stack = [(0, deficit0, "")]
+    stack = [(0, tuple(deficit), "")]
     while stack:
         i, deficit, word = stack.pop()
         if i == n:
             out.append(word)
             continue
-        p = powers[n - i - 1]
-        for digit in (0, 1):
-            d2 = deficit - p if digit else deficit
-            if exact_sign(d2) < 0:
-                continue
-            if exact_cmp(d2, windows[i + 1]) > 0:
-                continue
-            stack.append((i + 1, d2, word + str(digit)))
-    out.sort()
-    return out
+        weight, window = levels[i]
+        stack.extend((i + 1, d, w) for d, w in _children(sign, ((deficit, word),), weight, window, i + 1 == n))
+    return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -256,9 +295,6 @@ class ClassPartition:
             if word in cls.members:
                 return k
         raise DomainError(f"{word!r} is not in any class of this partition")
-
-    def all_words(self) -> list[str]:
-        return sorted(w for cls in self.classes for w in cls.members)
 
 
 def partition_words(beta: BetaSpec, words: Sequence[str], values: Optional[Sequence[ExactReal]] = None) -> ClassPartition:

@@ -6,10 +6,12 @@ short inputs, and a level sweep that carries one lexicographically maximal
 representative per reachable value class from left to right.  For a base
 whose conjugates lie inside the unit disk the number of classes alive per
 level stays bounded, which is what makes the sweep take a linear number of
-steps.  The sweep runs on integer coordinates in Q(beta), a rational base
-p/q being the degree-1 case q*x - p: its state is one digit weight, one
-window and the live deficits, each an integer vector of O(n) bits.  On
-other bases the classes per level can grow without bound, and more than
+steps.  Both routes walk the same integer digit weights in Q(beta)
+(`algebraic._weight_walk`), a rational base p/q being the degree-1 case
+q*x - p; every weight, window and deficit is an integer vector of O(n)
+bits.  The class search keeps every live prefix, depth first; the sweep
+keeps one weight, one window and one prefix per live deficit.  On other
+bases the classes per level can grow without bound, and more than
 SWEEP_CLASS_CAP of them stop the sweep with SizeGuardError.
 """
 
@@ -19,18 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numerics import (
-    BetaForgeError,
-    BetaSpec,
-    DomainError,
-    MalformedContextError,
-    SizeGuardError,
-    beta_value,
-    _zdiv_beta,
-    _zmul_beta,
-)
+from .numerics import BetaForgeError, BetaSpec, DomainError, SizeGuardError
 from .expand import validate_bits
-from .algebraic import ConjugateBounds, equiv_class
+from .algebraic import ConjugateBounds, equiv_class, _children, _weight_walk
 
 __all__ = [
     "FastRunStats",
@@ -77,13 +70,10 @@ def m_beta_fast(beta: BetaSpec, x: str, bounds: Optional[ConjugateBounds] = None
     window 0 <= deficit <= (what the remaining digits can contribute).  The
     final level forces deficit 0, so the survivor is the class maximum.
 
-    Every base runs on integer coordinates: values are scaled by
-    a^(n-1) beta^n, with a the leading coefficient of the minimal polynomial
-    (q*x - p for a rational base p/q), which makes every digit weight
-    a^(n-1) beta^k (k < n) an integer vector.  The sweep keeps one weight,
-    one window and the live deficits, each of O(n) bits, and walks the
-    weights down by exact division by beta; signs go through the context's
-    certified evaluator.
+    Every base runs on the integer weight walk that `equiv_class` shares:
+    values are scaled by a^(n-1) beta^n, so every digit weight is an integer
+    vector, and the weights walk down by exact division by beta; signs go
+    through the context's certified evaluator, one per candidate.
 
     Returns (canonical word, FastRunStats).  When `bounds` declares the base
     Pisot, per-level class counts are checked against the derived width
@@ -94,34 +84,7 @@ def m_beta_fast(beta: BetaSpec, x: str, bounds: Optional[ConjugateBounds] = None
     n = len(x)
     if n == 0:
         return "", FastRunStats((), 0, None)
-    b = beta_value(beta)
-    if isinstance(b, Fraction):
-        poly = (-b.numerator, b.denominator)
-
-        def sign(v):
-            return (v[0] > 0) - (v[0] < 0)
-
-    else:
-        poly = b.ctx.minpoly
-        sign = b.ctx.sign_of_coeffs
-        if poly[0] == 0:  # the sweep divides by beta
-            raise MalformedContextError("minimal polynomial has the root 0, so it is reducible")
-    a = poly[-1]
-
-    # one ascending pass: weight runs through a^(n-1) beta^k for k < n, the
-    # window sums all of them, and the deficit of the empty prefix sums the
-    # weights under x's ones
-    weight = [a ** (n - 1)] + [0] * (len(poly) - 2)
-    window = weight
-    deficit = [0] * len(weight)
-    for k in range(n):
-        if k:
-            weight = _zmul_beta(poly, weight)
-            if a != 1:
-                weight = [c // a for c in weight]
-            window = [u + w for u, w in zip(window, weight)]
-        if x[n - 1 - k] == "1":
-            deficit = [u + w for u, w in zip(deficit, weight)]
+    sign, (deficit,), levels = _weight_walk(beta, (x,))
 
     width_bound = None
     width_cap = None
@@ -132,24 +95,11 @@ def m_beta_fast(beta: BetaSpec, x: str, bounds: Optional[ConjugateBounds] = None
     level = [(tuple(deficit), "")]
     counts = []
     steps = 0
-    for i in range(1, n + 1):
-        if i > 1:
-            weight = _zdiv_beta(poly, weight)
-        window = [u - w for u, w in zip(window, weight)]
-        last = i == n
+    for i, (weight, window) in enumerate(levels, start=1):
         fresh: dict = {}
-        for deficit, word in level:
-            # every live deficit d satisfies 0 <= d <= window_(i-1) (level 1:
-            # x's deficit sums some of the weights), so d - weight <= window_i
-            # and d >= 0 hold already: each candidate needs one sign
-            steps += 2
-            d1 = tuple(u - w for u, w in zip(deficit, weight))
-            if ((not any(d1)) if last else sign(d1) >= 0) and d1 not in fresh:
-                fresh[d1] = word + "1"
-            if (
-                (not any(deficit)) if last else sign([u - w for u, w in zip(deficit, window)]) <= 0
-            ) and deficit not in fresh:
-                fresh[deficit] = word + "0"
+        for d, word in _children(sign, level, weight, window, i == n):
+            fresh.setdefault(d, word)
+        steps += 2 * len(level)
         level = list(fresh.items())
         counts.append(len(level))
         if width_cap is not None and len(level) > width_cap:

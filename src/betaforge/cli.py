@@ -33,13 +33,13 @@ from .numerics import (
     BetaSpec,
     DomainError,
     Interval,
-    NumberFieldContext,
     RationalBeta,
     SizeGuardError,
     beta_from_json,
     exact_float,
     format_rational,
     parse_rational,
+    _json_rational,
 )
 from .expand import (
     BitStream,
@@ -202,7 +202,10 @@ def parse_tosses(text: str) -> BitStream:
     if text == "alternating":
         return BitStream.alternating(1)
     if text.startswith("seed:"):
-        seed = int(text[5:], 0)
+        try:
+            seed = int(text[5:], 0)
+        except ValueError:
+            raise DomainError(f"toss seed must be an integer, got {text[5:]!r}") from None
         return BitStream(lambda: _xorshift64star_bits(seed), label=text)
     return BitStream.from_bits(text)
 
@@ -220,21 +223,32 @@ def _load_env_presets() -> dict[str, Preset]:
     path = os.environ.get(PRESETS_ENV)
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"{PRESETS_ENV} file {path!r} does not load: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DomainError(f"{PRESETS_ENV} file {path!r} must hold a JSON object of presets")
     out = {}
     for name, obj in data.items():
-        lo = parse_rational(str(obj["isolating"][0]))
-        hi = parse_rational(str(obj["isolating"][1]))
-        ctx = NumberFieldContext(obj["minpoly"], (lo, hi))
-        bounds = ConjugateBounds(
-            parse_rational(str(obj["pi_lower"])),
-            parse_rational(str(obj["bplus_upper"])),
-            int(obj.get("k_beta", 0)),
-            bool(obj.get("pisot", False)),
-            provenance="user",
-        )
-        out[name] = Preset(name, AlgebraicBeta(ctx), MinPolyData(tuple(obj["minpoly"])), bounds)
+        try:
+            beta = beta_from_json(obj)
+            if not isinstance(beta, AlgebraicBeta):
+                raise DomainError("a preset needs minpoly and isolating")
+            k_beta = parse_rational(str(obj.get("k_beta", 0)))
+            if k_beta.denominator != 1:
+                raise DomainError("k_beta must be an integer")
+            bounds = ConjugateBounds(
+                _json_rational(obj, "pi_lower"),
+                _json_rational(obj, "bplus_upper"),
+                int(k_beta),
+                bool(obj.get("pisot", False)),
+                provenance="user",
+            )
+        except BetaForgeError as exc:
+            raise DomainError(f"{PRESETS_ENV} preset {name!r}: {exc}") from exc
+        out[name] = Preset(name, beta, MinPolyData(beta.ctx.minpoly), bounds)
     return out
 
 
@@ -250,7 +264,11 @@ def parse_beta(text: str) -> tuple[BetaSpec, Optional[Preset]]:
         p = presets[text]
         return p.beta, p
     if text.lstrip().startswith("{"):
-        return beta_from_json(json.loads(text)), None
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:
+            raise DomainError(f"base is not valid JSON: {exc}") from exc
+        return beta_from_json(obj), None
     return RationalBeta(parse_rational(text)), None
 
 

@@ -130,10 +130,6 @@ class LandingInfo:
     least_landing: Optional[int]
 
 
-def _one(beta):
-    return Fraction(1) if isinstance(beta, Fraction) else beta / beta
-
-
 def _inv(x):
     return Fraction(1) / x if isinstance(x, Fraction) else x.inverse()
 
@@ -174,6 +170,8 @@ def _orbit(b, r, n, rule, cuts=()):
     one shared denominator, and every sign goes through the context's
     certified evaluator; the exact residual is built only when asked for.
     """
+    if n < 0:
+        raise DomainError("n must be nonnegative")
     out = []
     if isinstance(b, Fraction):
 

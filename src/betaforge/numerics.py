@@ -210,10 +210,6 @@ class NumberFieldContext:
             got = self._brackets[max_width] = self._bisect(*self.isolating, max_width)
         return got
 
-    def root_float(self) -> float:
-        lo, hi = self.refine(Fraction(1, 1 << 60))
-        return float((lo + hi) / 2)
-
     def _dyadic_enclosure(self, bits: int) -> tuple[int, int, int]:
         """Integers (P, Q, bits) with P/2^bits <= root <= Q/2^bits, Q - P <= 3."""
         cached = self._dyadic
@@ -451,9 +447,6 @@ class NumberFieldElement:
 
     def is_zero(self) -> bool:
         return all(not c for c in self.coeffs)
-
-    def is_rational(self) -> bool:
-        return all(not c for c in self.coeffs[1:])
 
     def sign(self) -> int:
         """Certified sign: 0 exactly when the reduced element is zero."""
@@ -715,21 +708,37 @@ def beta_value(spec: BetaSpec) -> ExactReal:
     raise DomainError(f"not a base specification: {spec!r}")
 
 
+def _json_rational(obj: dict, key: str) -> Fraction:
+    """obj[key] as an exact rational; a missing key is a DomainError."""
+    if key not in obj:
+        raise DomainError(f"missing key {key!r}")
+    return parse_rational(str(obj[key]))
+
+
 def beta_from_json(obj: dict) -> BetaSpec:
     """Build a base from its JSON object form.
 
     {"minpoly": [c0, ..., cd], "isolating": ["p/q", "r/s"]} for algebraic;
     {"bits": "0101...", "lo": "p/q", "hi": "r/s"} for a stream base.
+    Malformed objects raise DomainError.
     """
+    if not isinstance(obj, dict):
+        raise DomainError("a base object must be a JSON object")
     if "minpoly" in obj:
-        lo = parse_rational(str(obj["isolating"][0]))
-        hi = parse_rational(str(obj["isolating"][1]))
-        return AlgebraicBeta(NumberFieldContext(obj["minpoly"], (lo, hi)))
+        minpoly = obj["minpoly"]
+        coeffs = [parse_rational(str(c)) for c in minpoly] if isinstance(minpoly, (list, tuple)) else None
+        if coeffs is None or any(c.denominator != 1 for c in coeffs):
+            raise DomainError("minpoly must be a list of integers")
+        isolating = obj.get("isolating")
+        if not isinstance(isolating, (list, tuple)) or len(isolating) != 2:
+            raise DomainError("isolating must be a list of two rationals")
+        lo, hi = (parse_rational(str(q)) for q in isolating)
+        return AlgebraicBeta(NumberFieldContext([int(c) for c in coeffs], (lo, hi)))
     if "bits" in obj:
         bits = str(obj["bits"])
         if bits.strip("01"):
             raise DomainError("stream bits must be a string over 0/1")
-        lo = parse_rational(str(obj["lo"]))
-        hi = parse_rational(str(obj["hi"]))
+        lo = _json_rational(obj, "lo")
+        hi = _json_rational(obj, "hi")
         return StreamBeta(lambda: iter(int(b) for b in bits), lo, hi)
     raise DomainError("unrecognized base object; expected minpoly/isolating or bits/lo/hi")

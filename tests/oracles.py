@@ -5,7 +5,8 @@ coordinates modulo a monic polynomial, and a private bisection for root
 brackets; those results can be frozen into assertions against the package.
 
 The last section keeps the element-based shift-map orbit and the table-based
-level sweep that integer coordinates replaced.  They run on the package's
+level sweep, with its `scaled_power_table`, that integer coordinates
+replaced.  They run on the package's
 exact elements (Fractions and `NumberFieldElement`, compared with
 `exact_cmp`) and share with it only that element arithmetic and the
 certified sign evaluator, so they serve as differential oracles for
@@ -15,7 +16,6 @@ certified sign evaluator, so they serve as differential oracles for
 from fractions import Fraction
 
 import betaforge as bf
-from betaforge.algebraic import scaled_power_table
 
 
 def greedy_oracle(beta: Fraction, s: Fraction, n: int) -> str:
@@ -299,6 +299,23 @@ def replay_tosses_elements(beta, s, x):
             return None
         s = b * s - 1 if bit else b * s
     return "".join(out)
+
+
+def scaled_power_table(beta, n):
+    """Powers beta^0 .. beta^(n-1) plus suffix sums used as feasibility windows.
+
+    Returns (powers, windows) with windows[i] = sum of beta^k for k < n - i,
+    so windows[n] = 0.  Working with values scaled by beta^n keeps all digit
+    arithmetic free of divisions.
+    """
+    b = bf.beta_value(beta)
+    powers = [b - b + 1]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * b)
+    windows = [b - b] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        windows[i] = windows[i + 1] + powers[n - i - 1]
+    return powers, windows
 
 
 def sweep_elements(beta, x):

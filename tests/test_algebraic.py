@@ -1,13 +1,29 @@
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
 import betaforge as bf
-from oracles import group_by_value, root_bracket, zint_interval
+from oracles import delta_oracle, group_by_value, root_bracket, zint_interval
 
 GOLDEN_POLY = [-1, -1, 1]
 SQRT2_POLY = [-2, 0, 1]
 CBRT2_POLY = [-2, 0, 0, 1]
+# (1 + sqrt3)/2, a root of the non-monic 2x^2 - 2x - 1
+NONMONIC = {"minpoly": [-1, -2, 2], "isolating": ["13/10", "7/5"]}
+# x(x^2 - x - 1): reducible, with the root 0, yet it isolates the golden ratio
+ZERO_CONSTANT = {"minpoly": [0, -1, -1, 1], "isolating": ["3/2", "5/3"]}
+
+
+def _base_and_value(name):
+    """The base and the exact value of a word on it, computed apart from the
+    integer weight walk: element arithmetic on field bases, plain Fractions
+    on rational ones."""
+    if name in ("nonmonic", "golden", "tribonacci"):
+        beta = bf.beta_from_json(NONMONIC) if name == "nonmonic" else bf.get_preset(name).beta
+        return beta, lambda w: bf.delta_finite(beta, w)
+    q = Fraction(name)
+    return bf.RationalBeta(q), lambda w: delta_oracle(q, w)
 
 
 def min_gap_lower_bound(minpoly, iso, n, bits=120):
@@ -125,6 +141,36 @@ class TestEquivClass:
             for n in range(1, 13):
                 groups = group_by_value(list(preset.data.coefficients), n)
                 assert all(len(ws) == 1 for ws in groups.values())
+
+
+class TestSharedWalk:
+    # the first four have no equal-value words of equal length; golden and
+    # tribonacci have many
+    @pytest.mark.parametrize("name", ["nonmonic", "3/2", "7/4", "2", "golden", "tribonacci"])
+    def test_matches_independent_grouping(self, name):
+        beta, value = _base_and_value(name)
+        for n in range(1, 9):
+            groups = {}
+            for k in range(1 << n):
+                w = format(k, f"0{n}b")
+                v = value(w)
+                groups.setdefault(getattr(v, "coeffs", v), (v, []))[1].append(w)
+            classes = sorted(groups.values(), key=cmp_to_key(lambda a, b: bf.exact_cmp(a[0], b[0])))
+            for j, (_, members) in enumerate(classes):
+                # neighbouring values are the closest distinct pairs; short
+                # words are compared against every other class
+                others = classes if n <= 5 else classes[max(j - 1, 0) : j + 2]
+                for x in members:
+                    assert bf.equiv_class(beta, x) == members
+                    for _, ys in others:
+                        assert bf.equiv(beta, x, ys[0]) == (ys is members)
+
+    def test_zero_constant_term_is_malformed(self):
+        beta = bf.beta_from_json(ZERO_CONSTANT)
+        with pytest.raises(bf.MalformedContextError):
+            bf.equiv(beta, "011", "100")
+        with pytest.raises(bf.MalformedContextError):
+            bf.equiv_class(beta, "011")
 
 
 class TestGarsiaPredicate:

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -222,3 +224,54 @@ class TestSubcommands:
                 del os.environ["BETA_FORGE_PRESETS"]
             else:
                 os.environ["BETA_FORGE_PRESETS"] = old
+
+
+class TestMalformedInput:
+    """Input from outside the program ends in an `error:` line and exit 1,
+    never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "--beta", '{"minpoly": [-1,-1,1]}', "--s", "1", "--n", "4"],
+            ["expand", "--beta", '{"minpoly', "--s", "1", "--n", "4"],
+            ["expand", "--beta", '{"bits": "0101", "hi": "3/2"}', "--s", "1", "--n", "4"],
+            ["expand", "--beta", '{"minpoly": "ab", "isolating": ["3/2", "5/3"]}', "--s", "1", "--n", "4"],
+            ["expand", "--beta", '{"minpoly": [-1,-1,1], "isolating": ["3/2"]}', "--s", "1", "--n", "4"],
+            ["random", "--beta", "golden", "--s", "1", "--n", "4", "--tosses", "seed:xyz"],
+            ["expand", "--beta", "golden", "--s", "1", "--n", "-1"],
+        ],
+        ids=["no-isolating", "bad-json", "bits-without-lo", "minpoly-not-a-list", "one-item-isolating",
+             "bad-seed", "negative-n"],
+    )
+    def test_domain_error(self, argv):
+        status, out, err = run_command(argv)
+        assert (status, out) == (1, "")
+        assert err.startswith("error: ")
+
+    def _with_presets(self, monkeypatch, path):
+        monkeypatch.setenv("BETA_FORGE_PRESETS", str(path))
+        status, out, err = run_command(["expand", "--beta", "3/2", "--s", "3/4", "--n", "4"])
+        assert (status, out) == (1, "")
+        assert err.startswith("error: BETA_FORGE_PRESETS")
+
+    def test_presets_file_missing(self, monkeypatch, tmp_path):
+        self._with_presets(monkeypatch, tmp_path / "absent.json")
+
+    def test_preset_without_isolating(self, monkeypatch, tmp_path):
+        path = tmp_path / "presets.json"
+        path.write_text(json.dumps({"plastic": {"minpoly": [-1, -1, 0, 1], "pi_lower": "1/10", "bplus_upper": "3/2"}}))
+        self._with_presets(monkeypatch, path)
+
+
+def test_python_dash_m_entry_point():
+    src = os.path.dirname(os.path.dirname(bf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "betaforge", "lazy", "--beta", "2", "--s", "3/4", "--n", "4"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1011\n", "")
