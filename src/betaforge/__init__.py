@@ -32,7 +32,6 @@ from .numerics import (
     exact_sign,
     floor_log2,
     in_approx,
-    nf_sign,
     parse_rational,
 )
 from .expand import (
@@ -108,6 +107,7 @@ from .tosses_adc import (
     replay_tosses,
     validate_quantizer,
 )
-from .cli import MalformedEncodingError, decode_pairing, encode_pairing, run_command
+from .pairing import MalformedEncodingError, decode_pairing, encode_pairing
+from .cli import run_command
 
 __version__ = "0.1.0"

@@ -554,11 +554,6 @@ def exact_float(x: ExactReal) -> float:
     return float(x)
 
 
-def nf_sign(v: NumberFieldElement) -> int:
-    """Certified sign of a number-field element (-1, 0, or +1)."""
-    return v.sign()
-
-
 def exact_floor(x: ExactReal) -> int:
     if isinstance(x, Fraction):
         return x.numerator // x.denominator

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import betaforge as bf
-from betaforge.cli import PAIRING_CAP, decode_pairing, encode_pairing, parse_tosses, run_command
+from betaforge.cli import parse_tosses, run_command
+from betaforge.pairing import PAIRING_CAP, decode_pairing, encode_pairing
 
 TABLE1 = {
     "2": "11000000000000000000000000000000000000000000000000",
@@ -64,6 +66,11 @@ class TestPairing:
             decode_pairing("111")
         with pytest.raises(bf.DomainError):
             encode_pairing([])
+
+    def test_negative_item_length(self):
+        # no (2^k - 1) L + 2^(k-1) - 1 reaches the code length for L < 0
+        with pytest.raises(bf.MalformedEncodingError, match="nonnegative"):
+            decode_pairing("1001", item_length=-1)
 
 
 class TestSubcommands:
@@ -170,6 +177,11 @@ class TestSubcommands:
         status, out, _ = run_command(["decode", "--raw", "1001"])
         assert status == 0 and out == "0 1"
 
+    def test_decode_negative_item_length(self):
+        status, out, err = run_command(["decode", "--raw", "1001", "--item-length", "-1"])
+        assert (status, out) == (1, "")
+        assert err.startswith("error:") and "nonnegative" in err
+
     def test_value_forms(self):
         for s in ("3/4", "0.75", "bits:11"):
             _, out, _ = run_command(["expand", "--beta", "3/2", "--s", s, "--n", "10"])
@@ -262,6 +274,166 @@ class TestMalformedInput:
         path = tmp_path / "presets.json"
         path.write_text(json.dumps({"plastic": {"minpoly": [-1, -1, 0, 1], "pi_lower": "1/10", "bplus_upper": "3/2"}}))
         self._with_presets(monkeypatch, path)
+
+
+PLASTIC = {"minpoly": [-1, -1, 0, 1], "isolating": ["13/10", "4/3"], "pi_lower": "1/100", "bplus_upper": "3/2"}
+
+
+class TestPresetPisotFlag:
+    """`pisot` in a BETA_FORGE_PRESETS entry is a JSON boolean; it decides
+    whether canonicalize prints a width bound."""
+
+    def _canonicalize(self, monkeypatch, tmp_path, pisot):
+        path = tmp_path / "presets.json"
+        path.write_text(json.dumps({"plastic": dict(PLASTIC, pisot=pisot)}))
+        monkeypatch.setenv("BETA_FORGE_PRESETS", str(path))
+        return run_command(["canonicalize", "--beta", "plastic", "--bits", "1011", "--json"])
+
+    def test_string_is_an_error(self, monkeypatch, tmp_path):
+        status, out, err = self._canonicalize(monkeypatch, tmp_path, "false")
+        assert (status, out) == (1, "")
+        assert err.startswith("error: BETA_FORGE_PRESETS preset 'plastic': ") and "JSON boolean" in err
+
+    def test_false_prints_no_bound(self, monkeypatch, tmp_path):
+        status, out, err = self._canonicalize(monkeypatch, tmp_path, False)
+        assert (status, err) == (0, "")
+        assert json.loads(out)["stats"]["pisot_width_bound"] is None
+
+    def test_true_prints_the_bound(self, monkeypatch, tmp_path):
+        status, out, err = self._canonicalize(monkeypatch, tmp_path, True)
+        assert (status, err) == (0, "")
+        assert json.loads(out)["stats"]["pisot_width_bound"] == "3145728000/10214743"
+
+
+# Outputs as printed before the CLI became table-driven; most --json payloads
+# are pinned nowhere else.  Each entry: argv, then the sha256 of stdout plain
+# and with --json (both exit 0 with an empty stderr).
+STREAM_BASE = json.dumps({"bits": "1000", "lo": "3/2", "hi": "3/2"})
+DEVICE_ARGS = ["--beta", "golden", "--t", "0.809016994", "--eps", "0.19", "--s", "3/4", "--n", "10"]
+PINNED_OUTPUTS = {
+    "expand": (
+        ["expand", "--beta", "3/2", "--s", "3/4", "--n", "20"],
+        "512e7d0deffe621ebfcfec7301fc8dd3577e4299b6b71bdceebaff02e78a2afc",
+        "4f98d183144f0302856b45f13114cc433bc420e14595d15b8d4ee1afebc385a2",
+    ),
+    "lazy": (
+        ["lazy", "--beta", "golden", "--s", "1/2", "--n", "10"],
+        "160da5e470d41278347568b99d58b5c3aa054171a91d29bdbce175c6e25e9242",
+        "bf938bab40b623881d3269b88e384fed6d4722b6897e62f787977e285e346f4f",
+    ),
+    "random": (
+        ["random", "--beta", "3/2", "--s", "1/2", "--n", "12", "--tosses", "seed:7"],
+        "e5694fff01b6c5d8b90c9339ebe1d4a6c93a6290d79dd1f9d7b1ca9ddfe49cd7",
+        "3c090cfac48ecd9fa1f2dff797f1f2c534726456356c844b9628ce0e95f456d2",
+    ),
+    "convert": (
+        ["convert", "--beta", "6/5", "--binary", "1" * 40, "--chunks", "2"],
+        "505d684e5b4054d664db281967c980a7f2cde71aef2980d13cb8a07043f1c762",
+        "de5120491e6f2bfd1f161d80ca9679db14e2479a57aa8ab0c2a92895c58b39b0",
+    ),
+    "convert-stream": (
+        ["convert-stream", "--beta", "golden", "--binary", "1" * 60, "--chunks", "1"],
+        "1e54d0cc2539fe168efc7a87e0647ee463f6f9dc1fe55899c7728fbf089a7dcf",
+        "ebdd61d1eed4c273a7e05be86f0e6a49b8635b551ec8fa4a0271bc96deaf2ed6",
+    ),
+    "canonicalize": (
+        ["canonicalize", "--beta", "tribonacci", "--bits", "0111011"],
+        "83aa458467497705612ae6a256797d6bdf391938279cc4a1c6f12d81cd7f6be7",
+        "133e23c4bd46fda2e60820e4b8b597a14b9db3cec5ed302c20e4918809d5776f",
+    ),
+    "canonicalize-bruteforce": (
+        ["canonicalize", "--beta", "golden", "--bits", "011", "--method", "bruteforce"],
+        "ad57366865126e55649ecb23ae1d48887544976efea46a48eb5d85a6eeb4d306",
+        "e9bb9a7f9b7005f048ca3315414305be3a18c5b01f9deea0325fcc7df1b26a7b",
+    ),
+    "enumerate": (
+        ["enumerate", "--beta", "golden", "--s", "1", "--n", "4"],
+        "4b542c5b3353f7ed8bfc3c32cef32284d23f7054a8b9eb8e3c8f47d3ec41b592",
+        "7520e37b992981af4de4ce3dd0395a0818bd76f3aab166c66fae57c3e3cc55eb",
+    ),
+    "enumerate-pairing": (
+        ["enumerate", "--beta", "golden", "--s", "1", "--n", "4", "--pairing"],
+        "ed3554ad7c9a8d52bc1a35d6d0fa0eb14af313fc817ef0a91d4c041415f7a501",
+        "7520e37b992981af4de4ce3dd0395a0818bd76f3aab166c66fae57c3e3cc55eb",
+    ),
+    "classes": (
+        ["classes", "--beta", "golden", "--bits", "1100"],
+        "10e7507e67493797a3a705beb2c44503b388e869789516228fcc76345936327f",
+        "31efe52da9f68d800af1e25a33eafe53380ae9dc9c59b92c76e9314e48bc2378",
+    ),
+    "classes-pairing": (
+        ["classes", "--beta", "golden", "--bits", "1100", "--pairing"],
+        "80430ec26d44ef07598b7e5d108784d26abdf0f7ff6f084cff72b1d376772ead",
+        "31efe52da9f68d800af1e25a33eafe53380ae9dc9c59b92c76e9314e48bc2378",
+    ),
+    "tosses": (
+        ["tosses", "--beta", "golden", "--s", "1", "--x", "101011"],
+        "f08f388091e1784c01710b8aa51ca3a009071c61900c280b30c2634a90e2edd7",
+        "c1c0b3a9c4693888e90743ab74c5282a241c143c7c01d7026469e2ad42289f19",
+    ),
+    "adc": (
+        ["adc"] + DEVICE_ARGS + ["--tosses", "seed:3"],
+        "0c6d7a8b9e6b1065b1d034a17aa0f3b72db4be5f8b51d41fcdd2b845118f54d5",
+        "7b4ebf09db7abea002782def9f6d948bafc264dce1e873b965f268d9eaa56ac4",
+    ),
+    "pipeline": (
+        ["pipeline"] + DEVICE_ARGS + ["--tosses", "zeros"],
+        "4fd7bbcb69bfbd6781047c8d31326356fda8764b76fd9f074b9edc58d49f09d3",
+        "07616c354b9cdaef59451dbe1a8fa03c80c0bd0ea01e6fba3ed208d0c43bdae3",
+    ),
+    "bounds": (
+        ["bounds", "--beta", "golden", "--n", "3"],
+        "997ead78cb4d7ec452e84004580e0e1e78628f3c4124234a8c294db825e1fa87",
+        "3fdf06b9399319827cc616921485bd8ca18f71e3835f1fde23c510062c8beb29",
+    ),
+    "bounds-rational": (
+        ["bounds", "--beta", "3/2"],
+        "e7a1366e449dc6f7ca2ac2bdae33d9f69d68bf25092789a5fd8f48de1be6705e",
+        "e005f7d52814d1e52ce2712babceb3a8920af8873d7e676cefdee8d44d926739",
+    ),
+    "measure": (
+        ["measure", "--beta", "golden", "--m", "2", "--lo", "1", "--hi", "1"],
+        "f70b94aeb67de2a5eb4bd8c2ea85128f13776cb545a661abe422b378a6cf3099",
+        "839826fc05c7c053e281bb041f3f16e54df83abb8af2cba83252ca0e189736d1",
+    ),
+    "encode": (
+        ["encode", "01", "10", "11"],
+        "94cb071ea4d0c6ed11d6385b0971538a5f7a8b625c53dfb07a821b4ac067c7d6",
+        "0f18c0e312ef727d66b82fe3cc7f261039f14b218b1de0ef16d3ec429de709d3",
+    ),
+    "decode": (
+        ["decode", "--raw", "1001", "--arity", "2"],
+        "5cc3a6551605a0b4e9c3334f5eb5554c404973daf0b1a58655fa29c0ba3d47b0",
+        "91ebbfac1f2699e84162bd48fdf2092deac89f5bd3eb41bf0d8243d46c86bb68",
+    ),
+}
+# argv -> stderr of a call that exits 1 with an empty stdout
+PINNED_ERRORS = {
+    "stream-base-error": (
+        ["expand", "--beta", STREAM_BASE, "--s", "1/2", "--n", "4"],
+        "error: base given as a bit stream has no exact value; use the stream converter",
+    ),
+    "domain-error": (["expand", "--beta", "3/2", "--s", "9/2", "--n", "4"], "error: value outside [0, 1/(beta-1)]"),
+    "base-two-error": (
+        ["bounds", "--beta", "2"],
+        "error: bounds: base 2 has no separation bound and no converter schedule",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["plain", "json"])
+@pytest.mark.parametrize("name", list(PINNED_OUTPUTS))
+def test_pinned_output(name, mode):
+    argv, plain_sha256, json_sha256 = PINNED_OUTPUTS[name]
+    status, out, err = run_command(argv + (["--json"] if mode == "json" else []))
+    assert (status, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (json_sha256 if mode == "json" else plain_sha256)
+
+
+@pytest.mark.parametrize("name", list(PINNED_ERRORS))
+def test_pinned_error(name):
+    argv, stderr = PINNED_ERRORS[name]
+    assert run_command(argv) == (1, "", stderr)
 
 
 def test_python_dash_m_entry_point():

@@ -15,23 +15,23 @@ def make_golden_ctx():
 class TestNumberFieldSign:
     def test_zero_element(self):
         ctx = make_golden_ctx()
-        assert bf.nf_sign(NumberFieldElement.from_rational(ctx, 0)) == 0
+        assert NumberFieldElement.from_rational(ctx, 0).sign() == 0
 
     def test_minimal_polynomial_relation(self):
         # beta^2 - beta - 1 reduces to the zero element
         ctx = make_golden_ctx()
         g = NumberFieldElement.generator(ctx)
-        assert bf.nf_sign(g * g - g - 1) == 0
+        assert (g * g - g - 1).sign() == 0
 
     def test_golden_above_three_halves(self):
         ctx = make_golden_ctx()
         g = NumberFieldElement.generator(ctx)
-        assert bf.nf_sign(g - Fraction(3, 2)) == 1
+        assert (g - Fraction(3, 2)).sign() == 1
 
     def test_golden_below_five_thirds(self):
         ctx = make_golden_ctx()
         g = NumberFieldElement.generator(ctx)
-        assert bf.nf_sign(g - Fraction(5, 3)) == -1
+        assert (g - Fraction(5, 3)).sign() == -1
 
     def test_sign_stable_across_calls(self):
         ctx = make_golden_ctx()
