@@ -25,6 +25,7 @@ from .numerics import (
     ExactReal,
     MalformedContextError,
     NumberFieldContext,
+    SizeGuardError,
     beta_value,
     exact_cmp,
     _zdiv_beta,
@@ -46,6 +47,8 @@ __all__ = [
     "is_generalized_garsia",
     "partition_words",
 ]
+
+EQUIV_NODE_CAP = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -254,8 +257,10 @@ def equiv_class(beta: BetaSpec, x: str) -> list[str]:
     The level sweep's weight walk without its merge: every prefix whose
     deficit the remaining digits can still cancel stays alive, and the class
     is the set of words that end at deficit 0.  The prefixes are searched
-    depth first, so memory stays at the n weights and windows plus a stack,
-    however many prefixes a level holds.
+    depth first in batches of up to 256, so memory stays at the n weights and
+    windows plus at most 2n batches, however many prefixes a level holds.
+    More than EQUIV_NODE_CAP visited prefixes raise SizeGuardError, which no
+    word of up to 20 digits reaches: its prefix tree has 2^21 - 1 nodes.
     """
     validate_bits(x)
     n = len(x)
@@ -264,14 +269,19 @@ def equiv_class(beta: BetaSpec, x: str) -> list[str]:
     sign, (deficit,), levels = _weight_walk(beta, (x,))
     levels = list(levels)
     out = []
-    stack = [(0, tuple(deficit), "")]
+    stack = [(0, [(tuple(deficit), "")])]
+    visited = 0
     while stack:
-        i, deficit, word = stack.pop()
+        i, batch = stack.pop()
+        visited += len(batch)
+        if visited > EQUIV_NODE_CAP:
+            raise SizeGuardError(f"equivalence class search visited more than {EQUIV_NODE_CAP} prefixes")
         if i == n:
-            out.append(word)
+            out.extend(word for _, word in batch)
             continue
         weight, window = levels[i]
-        stack.extend((i + 1, d, w) for d, w in _children(sign, ((deficit, word),), weight, window, i + 1 == n))
+        children = list(_children(sign, batch, weight, window, i + 1 == n))
+        stack.extend((i + 1, children[k : k + 256]) for k in range(0, len(children), 256))
     return sorted(out)
 
 

@@ -50,6 +50,8 @@ __all__ = [
 
 # rational upper bound for Euler's number, used in the approximant-rate check
 _E_UPPER = Fraction(27183, 10000)
+STREAM_BRACKET_BITS = 48
+LOG2_PRECISION_BITS = 16
 
 
 class InsufficientBitsError(BetaForgeError):
@@ -175,26 +177,19 @@ class StreamConvParams:
         return self.N * i + self.L
 
 
-def _dyadic_log2_upper(a: Fraction, precision_bits: int = 16) -> Fraction:
-    """Dyadic upper bound on log2(a) for a in (1, 2), within 2^-precision_bits."""
-    scale = 1 << precision_bits
-    lo_k, hi_k = 0, scale
-    # invariant: 2^(lo_k/scale) <= a <= 2^(hi_k/scale), decided exactly on a^scale
-    target = a ** scale
-    while hi_k - lo_k > 1:
-        mid = (lo_k + hi_k) // 2
-        if Fraction(2) ** mid <= target:
-            lo_k = mid
-        else:
-            hi_k = mid
-    return Fraction(hi_k, scale)
+def _dyadic_log2_upper(a: Fraction) -> Fraction:
+    """Dyadic upper bound on log2(a) for a in (1, 2), within 2^-p for
+    p = LOG2_PRECISION_BITS: the least k/2^p with a^(2^p) <= 2^k.  No power
+    of a rational in (1, 2) is a power of 2, so the bound is strict."""
+    scale = 1 << LOG2_PRECISION_BITS
+    return Fraction(ceil_log2(a ** scale), scale)
 
 
-def stream_from_exact(beta: BetaSpec, bracket_bits: int = 48) -> StreamBeta:
+def stream_from_exact(beta: BetaSpec) -> StreamBeta:
     """View an exactly known base as a stream base: the greedy binary digits
     of beta - 1 are generated on demand in exact arithmetic.  The brackets
     are exact for a rational base; for an algebraic one they are the context's
-    `bracket` of width 2^-bracket_bits, bisected from the isolating interval,
+    `bracket` of width 2^-STREAM_BRACKET_BITS, bisected from the isolating interval,
     so the schedule `params_stream` derives from them does not depend on
     what ran before in the process."""
     if isinstance(beta, StreamBeta):
@@ -216,7 +211,7 @@ def stream_from_exact(beta: BetaSpec, bracket_bits: int = 48) -> StreamBeta:
                 r = 2 * r
 
     if isinstance(beta, AlgebraicBeta):
-        lo, hi = beta.ctx.bracket(Fraction(1, 1 << bracket_bits))
+        lo, hi = beta.ctx.bracket(Fraction(1, 1 << STREAM_BRACKET_BITS))
         return StreamBeta(gen, lo, hi)
     return StreamBeta(gen, b, b)
 

@@ -9,6 +9,11 @@ length):
     f_beta_to_2   widens the value window by 2^-n
     f_2_to_beta   widens J(x) = [value(x) - 2^-n, value(x) + 2^-n] by 2^-n
     g_beta_window widens [value(x) -/+ tail] by 2^-n with n = len(x)
+
+The exact prefix set of s is a window too: the length-n words with values in
+[s - beta^-n/(beta-1), s].  f_2_to_beta, g_beta_window and enumerate_expansions
+share one pruned walk, `_dfs_window`, whose word values g_beta_window
+partitions directly; nu_measure counts whole subtrees in a walk of its own.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ __all__ = [
     "nu_measure",
 ]
 
-DEFAULT_SET_GUARD = 200_000
+SET_GUARD = 200_000
 NU_BUDGET = 30
 
 
@@ -95,7 +100,7 @@ def _bits_of(k: int, n: int) -> str:
     return format(k, f"0{n}b") if n else ""
 
 
-def f_beta_to_2(beta_window: Interval, x: str, n: int, guard: int = DEFAULT_SET_GUARD) -> CandidateSet:
+def f_beta_to_2(beta_window: Interval, x: str, n: int) -> CandidateSet:
     """Binary candidates of length n for a base-side prefix x, where the base
     is only known to lie in `beta_window` (degenerate windows allowed).
 
@@ -123,8 +128,8 @@ def f_beta_to_2(beta_window: Interval, x: str, n: int, guard: int = DEFAULT_SET_
     k_lo = max(0, _ceil_exact((window.lo - pad) * scale))
     k_hi = min(scale - 1, exact_floor((window.hi + pad) * scale))
     count = max(0, k_hi - k_lo + 1)
-    if count > guard:
-        raise SizeGuardError(f"candidate set of size {count} exceeds guard {guard}")
+    if count > SET_GUARD:
+        raise SizeGuardError(f"candidate set of size {count} exceeds guard {SET_GUARD}")
     words = tuple(_bits_of(k, n) for k in range(k_lo, k_hi + 1))
     return CandidateSet(n, words, window, n)
 
@@ -151,29 +156,34 @@ def _window_table(b: ExactReal, length: int):
     return inv_pows, remaining
 
 
-def _dfs_window(beta: BetaSpec, length: int, lo_w: ExactReal, hi_w: ExactReal, guard: int):
-    """All words of the given length whose exact value lies in [lo_w, hi_w],
-    by depth-first search with reachable-interval pruning."""
+def _dfs_window(beta: BetaSpec, length: int, lo_w: ExactReal, hi_w: ExactReal, kind: str):
+    """The words of the given length whose exact value lies in [lo_w, hi_w],
+    in lexicographic order, and their values.  A prefix is pushed only when
+    its reachable interval [v, v + remaining[i]] meets the window, at one
+    comparison per child; the window must meet [0, remaining[0]], as every
+    caller's does for a base in (1, 2].  More than SET_GUARD words raise
+    SizeGuardError naming the `kind` of enumeration."""
     b = beta_value(beta)
     inv_pows, remaining = _window_table(b, length)
-    out = []
+    words, values = [], []
     stack = [(0, b - b, "")]
     while stack:
         i, v, word = stack.pop()
-        if exact_cmp(v, hi_w) > 0 or exact_cmp(v + remaining[i], lo_w) < 0:
-            continue
         if i == length:
-            out.append(word)
-            if len(out) > guard:
-                raise SizeGuardError(f"window enumeration exceeded guard {guard}")
+            words.append(word)
+            values.append(v)
+            if len(words) > SET_GUARD:
+                raise SizeGuardError(f"{kind} enumeration exceeded guard {SET_GUARD}")
             continue
-        stack.append((i + 1, v + inv_pows[i + 1], word + "1"))
-        stack.append((i + 1, v, word + "0"))
-    out.sort()
-    return out
+        v1 = v + inv_pows[i + 1]
+        if exact_cmp(v1, hi_w) <= 0:
+            stack.append((i + 1, v1, word + "1"))
+        if exact_cmp(v + remaining[i + 1], lo_w) >= 0:
+            stack.append((i + 1, v, word + "0"))
+    return words, values
 
 
-def f_2_to_beta(beta: BetaSpec, x: str, guard: int = DEFAULT_SET_GUARD) -> CandidateSet:
+def f_2_to_beta(beta: BetaSpec, x: str) -> CandidateSet:
     """Base-side candidates for a binary prefix x: all words of the carried
     length whose value meets [value(x) - 2^-n, value(x) + 2^-n] widened by
     2^-n, n = len(x)."""
@@ -186,11 +196,11 @@ def f_2_to_beta(beta: BetaSpec, x: str, guard: int = DEFAULT_SET_GUARD) -> Candi
     v = _delta2(x)
     pad = Fraction(1, 1 << n)
     window = Interval(v - pad, v + pad)
-    words = _dfs_window(beta, m, window.lo - pad, window.hi + pad, guard)
+    words, _ = _dfs_window(beta, m, window.lo - pad, window.hi + pad, "window")
     return CandidateSet(m, tuple(words), window, n)
 
 
-def g_beta_window(beta: BetaSpec, x: str, guard: int = DEFAULT_SET_GUARD) -> ClassPartition:
+def g_beta_window(beta: BetaSpec, x: str) -> ClassPartition:
     """Same-base window around the value of x: every word of equal length
     whose value meets [value(x) - tail, value(x) + tail] widened by 2^-n,
     partitioned into exact value classes sorted by class value."""
@@ -201,11 +211,10 @@ def g_beta_window(beta: BetaSpec, x: str, guard: int = DEFAULT_SET_GUARD) -> Cla
     v = delta_finite(beta, x)
     tail = tail_bound(beta, n)
     pad = Fraction(1, 1 << n)
-    words = _dfs_window(beta, n, v - tail - pad, v + tail + pad, guard)
-    return partition_words(beta, words)
+    return partition_words(beta, *_dfs_window(beta, n, v - tail - pad, v + tail + pad, "window"))
 
 
-def f_1_to_all(beta: BetaSpec, x: str, guard: int = DEFAULT_SET_GUARD) -> list[tuple[str, ...]]:
+def f_1_to_all(beta: BetaSpec, x: str) -> list[tuple[str, ...]]:
     """Candidate expansion sets built from the class partition around x: one
     sorted union per consecutive class range containing the class of x.
 
@@ -213,7 +222,7 @@ def f_1_to_all(beta: BetaSpec, x: str, guard: int = DEFAULT_SET_GUARD) -> list[t
     their number is iota * (M - iota + 1) for iota the 1-based class index of
     x and M the class count.
     """
-    part = g_beta_window(beta, x, guard)
+    part = g_beta_window(beta, x)
     iota = part.index_of(x)
     m = len(part.classes)
     out = []
@@ -226,41 +235,25 @@ def f_1_to_all(beta: BetaSpec, x: str, guard: int = DEFAULT_SET_GUARD) -> list[t
     return out
 
 
-def enumerate_expansions(beta: BetaSpec, s: ExactReal, n: int, guard: int = DEFAULT_SET_GUARD):
-    """Exactly the length-n prefixes of expansions of s, sorted, via the exact
-    prefix feasibility window: after placing a prefix u, the shifted residual
-    must stay inside [0, 1/(beta-1)]."""
+def enumerate_expansions(beta: BetaSpec, s: ExactReal, n: int):
+    """Exactly the length-n prefixes of expansions of s, sorted: a word u is
+    one iff the residual beta^n (s - value(u)) lies in [0, 1/(beta-1)], that
+    is, iff value(u) lies in the window [s - beta^-n/(beta-1), s]."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    b = beta_value(beta)
-    _check_in_domain(b, s)
-    lo = _inv(b)  # digit 1 feasible from here
-    hi = _inv(b * (b - 1))  # digit 0 feasible up to here
-    out = []
-    stack = [(0, s, "")]
-    while stack:
-        i, r, word = stack.pop()
-        if i == n:
-            out.append(word)
-            if len(out) > guard:
-                raise SizeGuardError(f"expansion enumeration exceeded guard {guard}")
-            continue
-        if exact_cmp(r, lo) >= 0:
-            stack.append((i + 1, b * r - 1, word + "1"))
-        if exact_cmp(r, hi) <= 0:
-            stack.append((i + 1, b * r, word + "0"))
-    out.sort()
-    return out
+    _check_in_domain(beta_value(beta), s)
+    words, _ = _dfs_window(beta, n, s - tail_bound(beta, n), s, "expansion")
+    return words
 
 
-def nu_measure(beta: BetaSpec, m: int, interval: Interval, budget: int = NU_BUDGET) -> Fraction:
+def nu_measure(beta: BetaSpec, m: int, interval: Interval) -> Fraction:
     """Mass 2^-m * #{words u of length m : value(u) in interval}, counted
     exactly with subtree pruning: a subtree is skipped when its reachable
     value interval misses `interval` and counted wholesale when contained."""
     if m < 0:
         raise DomainError("m must be nonnegative")
-    if m > budget:
-        raise BudgetExceededError(f"m = {m} exceeds the measure budget {budget}")
+    if m > NU_BUDGET:
+        raise BudgetExceededError(f"m = {m} exceeds the measure budget {NU_BUDGET}")
     b = beta_value(beta)
     inv_pows, remaining = _window_table(b, m)
     lo, hi = interval.lo, interval.hi

@@ -45,7 +45,7 @@ __all__ = [
     "in_approx",
 ]
 
-DEFAULT_BIT_BUDGET = 1_000_000
+BIT_BUDGET = 1_000_000
 
 
 class BetaForgeError(Exception):
@@ -601,7 +601,7 @@ def _size_bits(a: ExactReal) -> int:
     return sum(c.numerator.bit_length() + c.denominator.bit_length() for c in a.coeffs)
 
 
-def exact_log2_bounds(a: ExactReal, k: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> tuple[int, int]:
+def exact_log2_bounds(a: ExactReal, k: int) -> tuple[int, int]:
     """Return (ceil(k*log2(a)), floor(log2(a))), both decided by exact
     comparison of a^k (resp. a) against powers of two.
     """
@@ -609,8 +609,8 @@ def exact_log2_bounds(a: ExactReal, k: int, bit_budget: int = DEFAULT_BIT_BUDGET
         raise DomainError("k must be nonnegative")
     if exact_sign(a) <= 0:
         raise DomainError("a must be positive")
-    if k * max(1, _size_bits(a)) > bit_budget:
-        raise BudgetExceededError(f"a^{k} would exceed the {bit_budget}-bit budget")
+    if k * max(1, _size_bits(a)) > BIT_BUDGET:
+        raise BudgetExceededError(f"a^{k} would exceed the {BIT_BUDGET}-bit budget")
     p = a ** k
     return ceil_log2(p), floor_log2(a)
 

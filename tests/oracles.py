@@ -161,33 +161,37 @@ def canonical_oracle(minpoly, n: int):
     return out
 
 
+def all_words(n: int):
+    """Every 0/1 word of length n in lexicographic order; n = 0 gives ""."""
+    return [format(k, f"0{n}b") if n else "" for k in range(1 << n)]
+
+
 def enumerate_oracle_rational(beta: Fraction, s: Fraction, n: int):
     """Brute force: words w of length n with s - value(w) in [0, tail]."""
     out = []
     tail = Fraction(1, 1) / beta**n / (beta - 1)
-    for k in range(1 << n):
-        w = format(k, f"0{n}b")
+    for w in all_words(n):
         gap = s - delta_oracle(beta, w)
         if 0 <= gap <= tail:
             out.append(w)
     return out
 
 
-def enumerate_oracle_field(minpoly, iso, s: Fraction, n: int, bits: int = 120):
+def enumerate_oracle_field(minpoly, iso, s, n: int, bits: int = 120):
     """Brute force over a monic field: w belongs to the prefix set of s iff
     (root - 1) * (s*root^n - V(w)) lands in [0, 1]; decided with a certified
-    root bracket plus exact boundary tests, raising if the bracket cannot."""
+    root bracket plus exact boundary tests, raising if the bracket cannot.
+    `s` is a Fraction or the rational power-basis coordinates of a field
+    element."""
     lo, hi = root_bracket(minpoly, Fraction(iso[0]), Fraction(iso[1]), bits)
     d = len(minpoly) - 1
-    pow_coords = [0] * d
-    pow_coords[0] = 1
+    s_coords = list(s) if isinstance(s, (tuple, list)) else [Fraction(s)] + [0] * (d - 1)
     for _ in range(n):
-        pow_coords = zint_mul_by_root(pow_coords, minpoly)
+        s_coords = zint_mul_by_root(s_coords, minpoly)
     out = []
-    for k in range(1 << n):
-        w = format(k, f"0{n}b")
+    for w in all_words(n):
         v = zint_scaled_value(minpoly, w)
-        t = [s * pc - vc for pc, vc in zip(pow_coords, v)]
+        t = [sc - vc for sc, vc in zip(s_coords, v)]
         u = [a - b for a, b in zip(zint_mul_by_root(t, minpoly), t)]
         ulo, uhi = zint_interval(u, lo, hi)
 
@@ -205,6 +209,22 @@ def enumerate_oracle_field(minpoly, iso, s: Fraction, n: int, bits: int = 120):
         if above_zero >= 0 and below_one >= 0:
             out.append(w)
     return sorted(out)
+
+
+def dyadic_log2_upper_bisection(a: Fraction, precision_bits: int = 16) -> Fraction:
+    """Dyadic upper bound on log2(a) for a in (1, 2), within 2^-precision_bits,
+    by bisection on the exponent k of 2^k against a^(2^precision_bits)."""
+    scale = 1 << precision_bits
+    lo_k, hi_k = 0, scale
+    # invariant: 2^(lo_k/scale) <= a <= 2^(hi_k/scale), decided exactly on a^scale
+    target = a ** scale
+    while hi_k - lo_k > 1:
+        mid = (lo_k + hi_k) // 2
+        if Fraction(2) ** mid <= target:
+            lo_k = mid
+        else:
+            hi_k = mid
+    return Fraction(hi_k, scale)
 
 
 # --- element-based orbit and table-based sweep -----------------------------

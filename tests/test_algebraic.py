@@ -142,6 +142,20 @@ class TestEquivClass:
                 groups = group_by_value(list(preset.data.coefficients), n)
                 assert all(len(ws) == 1 for ws in groups.values())
 
+    def test_node_cap(self, monkeypatch):
+        # an n-digit search visits at most 2^(n+1) - 1 prefixes, so a cap of
+        # that size is never reached, and 20-digit words stay under the real cap
+        assert bf.algebraic.EQUIV_NODE_CAP >= (1 << 21) - 1
+        near_one = bf.RationalBeta(Fraction(101, 100))
+        words = ["1111100000", "0000011111", "1010101010", "0110100110"]
+        monkeypatch.setattr(bf.algebraic, "EQUIV_NODE_CAP", (1 << 11) - 1)
+        for x in words:
+            assert bf.equiv_class(near_one, x) == [x]
+        monkeypatch.setattr(bf.algebraic, "EQUIV_NODE_CAP", 100)
+        for x in words:
+            with pytest.raises(bf.SizeGuardError, match="more than 100 prefixes"):
+                bf.equiv_class(near_one, x)
+
 
 class TestSharedWalk:
     # the first four have no equal-value words of equal length; golden and

@@ -4,7 +4,7 @@ import pytest
 
 import betaforge as bf
 from conftest import random_rational
-from oracles import delta_oracle, greedy_oracle
+from oracles import delta_oracle, dyadic_log2_upper_bisection, greedy_oracle
 
 B32 = bf.RationalBeta(Fraction(3, 2))
 
@@ -130,6 +130,20 @@ class TestStreamParams:
         ps = bf.params_stream(gs)
         assert ps.N >= 27 and ps.L >= 9
         assert 0 < ps.C_lower < Fraction(1, 6)
+
+    def test_log2_upper_matches_bisection(self, rng, golden, tribonacci, monkeypatch):
+        # the upper brackets params_stream reads, at the real precision
+        for preset in (golden, tribonacci):
+            hi = bf.stream_from_exact(preset.beta).hi
+            assert bf.convert._dyadic_log2_upper(hi) == dyadic_log2_upper_bisection(hi)
+        # random rationals on a coarser grid, which the helper reads at call time
+        monkeypatch.setattr(bf.convert, "LOG2_PRECISION_BITS", 10)
+        checked = 0
+        while checked < 100:
+            a = random_rational(rng, Fraction(1), Fraction(2))
+            if 1 < a < 2:
+                assert bf.convert._dyadic_log2_upper(a) == dyadic_log2_upper_bisection(a, 10)
+                checked += 1
 
     def test_brackets_must_leave_room(self):
         with pytest.raises(bf.DomainError):

@@ -9,6 +9,8 @@ from oracles import delta_oracle, enumerate_oracle_field, enumerate_oracle_ratio
 B32 = bf.RationalBeta(Fraction(3, 2))
 B2 = bf.RationalBeta(Fraction(2))
 GOLDEN_POLY = [-1, -1, 1]
+# minimal polynomial and isolating interval of each field base the oracles brute-force
+FIELD_BASES = {"golden": (GOLDEN_POLY, ("3/2", "5/3")), "tribonacci": ([-1, -1, -1, 1], ("9/5", "15/8"))}
 
 
 def degenerate(v):
@@ -158,6 +160,14 @@ class TestGBetaWindow:
         part = bf.g_beta_window(golden.beta, "0000")
         assert part.classes[0].members == ("0000",)
 
+    def test_class_values_are_member_values(self, golden, tribonacci, rng):
+        for spec in (golden.beta, tribonacci.beta, B32, bf.RationalBeta(Fraction(7, 4))):
+            for _ in range(6):
+                n = rng.randrange(1, 8)
+                x = format(rng.getrandbits(n), f"0{n}b")
+                for cls in bf.g_beta_window(spec, x).classes:
+                    assert all(bf.delta_finite(spec, w) == cls.value for w in cls.members)
+
     def test_contains_own_class(self, golden, rng):
         for _ in range(15):
             n = rng.randrange(2, 9)
@@ -221,6 +231,30 @@ class TestEnumerate:
             got = bf.enumerate_expansions(golden.beta, s, n)
             assert got == enumerate_oracle_field(GOLDEN_POLY, ("3/2", "5/3"), s, n)
 
+    @pytest.mark.parametrize("name", ["golden", "tribonacci", "3/2", "7/4", "2"])
+    def test_against_bruteforce_with_domain_ends(self, name, rng):
+        # s = 0 and s = 1/(beta-1) are the ends of the domain, where a prefix
+        # value meets the window's edge exactly; n = 0 gives the empty word
+        if name in FIELD_BASES:
+            spec = bf.get_preset(name).beta
+            poly, iso = FIELD_BASES[name]
+
+            def oracle(s, n):
+                return enumerate_oracle_field(poly, iso, getattr(s, "coeffs", s), n)
+
+        else:
+            beta = Fraction(name)
+            spec = bf.RationalBeta(beta)
+
+            def oracle(s, n):
+                return enumerate_oracle_rational(beta, s, n)
+
+        values = [Fraction(0), bf.expansion_domain_max(spec)] + [random_rational(rng) for _ in range(3)]
+        for s in values:
+            for n in range(7):
+                assert bf.enumerate_expansions(spec, s, n) == oracle(s, n)
+        assert bf.enumerate_expansions(spec, values[-1], 0) == [""]
+
     def test_extremes_are_greedy_and_lazy(self, golden, rng):
         for spec in (B32, golden.beta):
             for _ in range(10):
@@ -233,6 +267,9 @@ class TestEnumerate:
     def test_outside_domain(self):
         with pytest.raises(bf.DomainError):
             bf.enumerate_expansions(B32, Fraction(5, 2), 3)
+        # the length is checked before the value
+        with pytest.raises(bf.DomainError, match="n must be nonnegative"):
+            bf.enumerate_expansions(B32, Fraction(5, 2), -1)
 
     def test_consecutive_classes(self, golden, rng):
         # the classes met by a prefix set form a contiguous range
@@ -248,6 +285,24 @@ class TestEnumerate:
                 # and members of a hit class are wholly inside the set
                 for k in hit:
                     assert all(w in words for w in part.classes[k].members)
+
+
+class TestSetGuard:
+    def test_guard_messages(self, golden, monkeypatch):
+        monkeypatch.setattr(bf.multivalued, "SET_GUARD", 3)
+        with pytest.raises(bf.SizeGuardError, match="^expansion enumeration exceeded guard 3$"):
+            bf.enumerate_expansions(golden.beta, Fraction(1), 4)
+        for call in (bf.g_beta_window, bf.f_1_to_all):
+            with pytest.raises(bf.SizeGuardError, match="^window enumeration exceeded guard 3$"):
+                call(golden.beta, "1100")
+        with pytest.raises(bf.SizeGuardError, match="^window enumeration exceeded guard 3$"):
+            bf.f_2_to_beta(golden.beta, "1010")
+        with pytest.raises(bf.SizeGuardError, match="^candidate set of size 4 exceeds guard 3$"):
+            bf.f_beta_to_2(degenerate(Fraction(11, 10)), "0" * 15, 2)
+        # at the guard itself nothing is raised
+        assert bf.enumerate_expansions(golden.beta, Fraction(1), 2) == ["01", "10", "11"]
+        assert len(bf.g_beta_window(golden.beta, "11").classes) == 3
+        assert bf.f_beta_to_2(degenerate(Fraction(3, 2)), "1000", 2).words == ("01", "10", "11")
 
 
 class TestNuMeasure:
