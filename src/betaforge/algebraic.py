@@ -25,6 +25,7 @@ from .numerics import (
     ExactReal,
     MalformedContextError,
     NumberFieldContext,
+    NumberFieldElement,
     SizeGuardError,
     beta_value,
     exact_cmp,
@@ -172,7 +173,7 @@ def is_generalized_garsia(data: MinPolyData) -> bool:
 
 
 def _value_key(v: ExactReal):
-    return v.coeffs if hasattr(v, "coeffs") else v
+    return (v.num, v.den) if isinstance(v, NumberFieldElement) else v
 
 
 def _weight_walk(beta: BetaSpec, words: Sequence[str]):

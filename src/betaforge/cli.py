@@ -349,11 +349,15 @@ def _decode(args, *_):
     return {"items": items}, " ".join(items)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(chosen: Optional[str]) -> argparse.ArgumentParser:
+    """The top-level parser with every subcommand registered by name and
+    help text; only the `chosen` one gets its arguments, as a call runs one."""
     top = argparse.ArgumentParser(prog="betaforge", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
     for name, (help_text, handler, specs, defaults) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        if name != chosen:
+            continue
         p.add_argument("--json", action="store_true", help="structured output")
         for flag, kwargs in specs:
             p.add_argument(flag, **kwargs)
@@ -363,7 +367,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv: list[str]) -> tuple[int, str, str]:
     """Execute one CLI invocation; returns (exit status, stdout, stderr)."""
-    parser = _build_parser()
+    # the top-level parser takes no option with a value, so its first
+    # non-option token is the subcommand
+    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -3,9 +3,13 @@
 Everything downstream (expansion generators, converters, canonicalization,
 enumeration) runs on exact arithmetic: big rationals via `fractions.Fraction`
 and elements of a real number field Q(beta) given by an integer minimal
-polynomial plus an isolating interval.  Signs of field elements are decided
-by refining the isolating interval until interval evaluation certifies them,
-so every comparison is deterministic and reproducible.
+polynomial plus an isolating interval.  A field element is stored as integer
+coordinates over one positive denominator in lowest terms, (num, den) with
+value sum(num[j] * beta^j) / den, so field arithmetic is integer vector
+arithmetic and a sign needs no rescaling.  Signs of field elements are
+decided by interval evaluation over a refined enclosure of beta, so every
+comparison is deterministic and reproducible; an enclosure narrower than the
+resultant bound on a nonzero element proves the polynomial reducible.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterator, Sequence, Union
 
 __all__ = [
@@ -118,7 +122,7 @@ class NumberFieldContext:
     starts from the isolating interval.
     """
 
-    __slots__ = ("minpoly", "degree", "isolating", "_lo", "_hi", "_lock", "_pow_rows", "_dyadic", "_brackets")
+    __slots__ = ("minpoly", "degree", "isolating", "_lo", "_hi", "_lock", "_zscale", "_zrows", "_dyadic", "_brackets")
 
     def __init__(self, minpoly: Sequence[int], isolating: tuple[Fraction, Fraction]):
         coeffs = tuple(int(c) for c in minpoly)
@@ -145,7 +149,7 @@ class NumberFieldContext:
         self._lo = lo
         self._hi = hi
         self._lock = threading.Lock()
-        self._pow_rows = self._reduction_rows()
+        self._zscale, self._zrows = self._reduction_rows()
         self._dyadic = None
         self._brackets = {}
 
@@ -156,17 +160,18 @@ class NumberFieldContext:
         return (acc > 0) - (acc < 0)
 
     def _reduction_rows(self):
-        # rows[k] = coefficients of beta^(degree+k) reduced to degree < d
-        d = self.degree
-        lead = self.minpoly[-1]
-        base = tuple(Fraction(-c, lead) for c in self.minpoly[:-1])
-        rows = [base]
-        for _ in range(d - 2):
-            prev = rows[-1]
-            shifted = (Fraction(0),) + prev[:-1]
-            top = prev[-1]
-            rows.append(tuple(s + top * b for s, b in zip(shifted, base)))
-        return tuple(rows)
+        """(a^(d-1), rows): rows[k] holds the integer coordinates of
+        a^(d-1) * beta^(d+k), a the leading coefficient and d the degree, so
+        a product's high coordinates reduce without leaving the integers."""
+        d, poly = self.degree, self.minpoly
+        a = poly[-1]
+        row = [-c for c in poly[:-1]]  # a * beta^d
+        rows = []
+        for k in range(d - 1):
+            if k:
+                row = _zmul_beta(poly, row)  # a^(k+1) * beta^(d+k)
+            rows.append(tuple(a ** (d - 2 - k) * x for x in row))
+        return a ** (d - 1), tuple(rows)
 
     def enclosure(self) -> tuple[Fraction, Fraction]:
         return self._lo, self._hi
@@ -223,10 +228,17 @@ class NumberFieldContext:
         return self._dyadic
 
     def sign_of_coeffs(self, coeffs) -> int:
-        """Certified sign of sum(coeffs[i] * root^i) using integer interval
-        evaluation over a dyadic enclosure of the root; exact zero only for
-        the zero coefficient vector.  All-int input is evaluated as given;
-        Fraction coefficients are first scaled to integers."""
+        """Certified sign of sum(coeffs[i] * root^i), for `degree` coefficients,
+        using integer interval evaluation over a dyadic enclosure of the root;
+        exact zero only for the zero coefficient vector.  All-int input is
+        evaluated as given; Fraction coefficients are first scaled to integers.
+
+        The precision doubles until the sign is certified.  For a nonzero
+        integer vector P and an irreducible minimal polynomial f of degree d,
+        Res(f, P) is a nonzero integer and Landau's M(f) <= |f|_2, so
+        |P(root)| >= (|P|_1 * |f|_2)^-(d-1).  An enclosure of P(root) that
+        straddles 0 and is narrower than that bound therefore proves f
+        reducible, and raises MalformedContextError."""
         ints = coeffs
         for c in coeffs:
             if type(c) is not int:
@@ -238,7 +250,7 @@ class NumberFieldContext:
             return (c > 0) - (c < 0)
         d = len(ints)
         bits = 64
-        for _ in range(24):
+        while True:
             p, q, k = self._dyadic_enclosure(bits)
             acc_lo = acc_hi = ints[d - 1]
             shift = 0
@@ -253,31 +265,40 @@ class NumberFieldContext:
                 return 1
             if acc_hi < 0:
                 return -1
+            # width 2^-shift * (acc_hi - acc_lo) below the bound, squared to
+            # stay in the integers: |f|_2^2 is the sum of squared coefficients
+            l1 = sum(abs(c) for c in ints)
+            norm = (l1 * l1 * sum(c * c for c in self.minpoly)) ** (self.degree - 1)
+            if (acc_hi - acc_lo) ** 2 * norm < 1 << (2 * shift):
+                raise MalformedContextError(
+                    "a nonzero element has value 0 at the root, so the minimal polynomial is reducible"
+                )
             bits *= 2
-        raise MalformedContextError(
-            "sign certification did not converge; the minimal polynomial may be reducible"
-        )
 
     def __repr__(self):
         lo, hi = self.isolating
         return f"NumberFieldContext(minpoly={list(self.minpoly)}, isolating=({lo}, {hi}))"
 
 
-# Integer coordinates: an element of Q(beta) as a list v of ints over one
-# positive denominator, value sum(v[j] * beta^j) / den.  With a the leading
-# coefficient of the minimal polynomial, a*beta*v is again integral, so the
-# shift map and the level sweep step without any Fraction arithmetic.
+# Integer coordinates: an element of Q(beta) as a vector v of ints over one
+# positive denominator, value sum(v[j] * beta^j) / den, the form in which
+# NumberFieldElement stores itself.  With a the leading coefficient of the
+# minimal polynomial, a*beta*v is again integral, so the shift map and the
+# level sweep step without any Fraction arithmetic.
 
 
 def _zcoords(degree: int, xs) -> tuple[int, list[list[int]]]:
     """(den, vectors): integer coordinates of the exact reals `xs` (Fractions,
     ints or field elements) over one common denominator."""
-    rows = [
-        x.coeffs if isinstance(x, NumberFieldElement) else (Fraction(x),) + (Fraction(0),) * (degree - 1)
-        for x in xs
-    ]
-    den = lcm(*(c.denominator for cs in rows for c in cs))
-    return den, [[c.numerator * (den // c.denominator) for c in cs] for cs in rows]
+    pairs = []
+    for x in xs:
+        if isinstance(x, NumberFieldElement):
+            pairs.append((x.num, x.den))
+        else:
+            q = Fraction(x)
+            pairs.append(((q.numerator,) + (0,) * (degree - 1), q.denominator))
+    den = lcm(*(d for _, d in pairs))
+    return den, [[c * (den // d) for c in num] for num, d in pairs]
 
 
 def _zmul_beta(poly: Sequence[int], v: list[int]) -> list[int]:
@@ -300,33 +321,46 @@ def _zdiv_beta(poly: Sequence[int], v: list[int]) -> list[int]:
     return [x + c * t // a for x, c in zip(v[1:], poly[1:])] + [t]
 
 
-def _zelement(ctx: NumberFieldContext, den: int, v: list[int]) -> "NumberFieldElement":
-    """The field element with integer coordinates v over den."""
-    return NumberFieldElement(ctx, [Fraction(x, den) for x in v])
-
-
 _SIGN_MAX_REFINEMENTS = 4000
 
 
 class NumberFieldElement:
-    """Element c0 + c1*beta + ... + c_{d-1}*beta^{d-1} of Q(beta).
+    """Element (n0 + n1*beta + ... + n_{d-1}*beta^{d-1}) / den of Q(beta).
 
-    Immutable.  Arithmetic reduces modulo the minimal polynomial; comparisons
-    go through certified sign determination.  Mixed arithmetic with ints and
-    Fractions coerces the rational operand into the field.
+    Stored as integer coordinates `num` (a tuple of d ints) over one
+    positive denominator `den`, in lowest terms: gcd(den, *num) = 1, and
+    zero is ((0, ..., 0), 1).  The form is unique, so equality and hashing
+    compare (num, den); addition is one integer vector pass, multiplication
+    an integer convolution reduced by the context's integer rows, and the
+    sign evaluates `num` directly.  `coeffs` gives the same element as a
+    tuple of d Fractions, the form the constructor also accepts.
+
+    Immutable.  Comparisons go through certified sign determination.  Mixed
+    arithmetic with ints and Fractions coerces the rational operand into the
+    field.
     """
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "num", "den")
 
     def __init__(self, ctx: NumberFieldContext, coeffs: Sequence[Fraction]):
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = [Fraction(c) for c in coeffs]
         if len(cs) != ctx.degree:
             raise MalformedContextError(f"expected {ctx.degree} coefficients, got {len(cs)}")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coeffs", cs)
+        # each coefficient is reduced, so over the lcm of their denominators
+        # the coordinates are already in lowest terms
+        den = lcm(*(c.denominator for c in cs))
+        _set_ctx(self, ctx)
+        _set_num(self, tuple(c.numerator * (den // c.denominator) for c in cs))
+        _set_den(self, den)
 
     def __setattr__(self, *_):
         raise AttributeError("NumberFieldElement is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions: num[j] / den for each j."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     @classmethod
     def from_rational(cls, ctx: NumberFieldContext, q) -> "NumberFieldElement":
@@ -337,7 +371,7 @@ class NumberFieldElement:
         if ctx.degree == 1:
             # beta is rational: -c0/c1
             return cls(ctx, (Fraction(-ctx.minpoly[0], ctx.minpoly[1]),))
-        return cls(ctx, (Fraction(0), Fraction(1)) + (Fraction(0),) * (ctx.degree - 2))
+        return _zelement(ctx, 1, (0, 1) + (0,) * (ctx.degree - 2))
 
     def _coerce(self, other):
         if isinstance(other, NumberFieldElement):
@@ -348,11 +382,23 @@ class NumberFieldElement:
             return NumberFieldElement.from_rational(self.ctx, other)
         return None
 
+    def _plus(self, o, sign):
+        """self + sign*o, sign = 1 or -1, over the least common denominator."""
+        sd, od = self.den, o.den
+        if sd == od:
+            num = [a + sign * b for a, b in zip(self.num, o.num)]
+        else:
+            g = gcd(sd, od)
+            s, t = od // g, sign * (sd // g)
+            num = [a * s + b * t for a, b in zip(self.num, o.num)]
+            sd *= s
+        return _zelement(self.ctx, sd, num)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return NumberFieldElement(self.ctx, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
@@ -360,7 +406,7 @@ class NumberFieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return NumberFieldElement(self.ctx, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -369,30 +415,26 @@ class NumberFieldElement:
         return o - self
 
     def __neg__(self):
-        return NumberFieldElement(self.ctx, tuple(-a for a in self.coeffs))
+        return _zelement(self.ctx, self.den, [-a for a in self.num])
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.ctx.degree
-        a, b = self.coeffs, o.coeffs
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    conv[i + j] += ai * bj
-        out = conv[:d]
-        rows = self.ctx._pow_rows
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
+        ctx = self.ctx
+        d = ctx.degree
+        conv = [0] * (2 * d - 1)
+        for i, ai in enumerate(self.num):
+            if ai:
+                for j, bj in enumerate(o.num):
+                    if bj:
+                        conv[i + j] += ai * bj
+        scale = ctx._zscale
+        out = [scale * c for c in conv[:d]]
+        for c, row in zip(conv[d:], ctx._zrows):
             if c:
-                row = rows[k - d]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return NumberFieldElement(self.ctx, out)
+                out = [x + c * r for x, r in zip(out, row)]
+        return _zelement(ctx, self.den * o.den * scale, out)
 
     __rmul__ = __mul__
 
@@ -446,11 +488,11 @@ class NumberFieldElement:
         return o * self.inverse()
 
     def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
+        return not any(self.num)
 
     def sign(self) -> int:
         """Certified sign: 0 exactly when the reduced element is zero."""
-        return self.ctx.sign_of_coeffs(self.coeffs)
+        return self.ctx.sign_of_coeffs(self.num)
 
     def enclosure(self, max_width: Fraction) -> tuple[Fraction, Fraction]:
         """Rational enclosure of the real value, of width at most `max_width`."""
@@ -473,14 +515,14 @@ class NumberFieldElement:
             return NotImplemented
         if o.ctx is not self.ctx:
             return False
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __ne__(self, other):
         eq = self.__eq__(other)
         return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
-        return hash((id(self.ctx), self.coeffs))
+        return hash((id(self.ctx), self.num, self.den))
 
     def __lt__(self, other):
         return (self - other).sign() < 0
@@ -500,6 +542,23 @@ class NumberFieldElement:
             if c:
                 terms.append(f"{c}" if i == 0 else f"{c}*b^{i}")
         return "NFE(" + (" + ".join(terms) if terms else "0") + ")"
+
+
+# the slots' own setters, which bypass the immutability guard
+_set_ctx = NumberFieldElement.ctx.__set__
+_set_num = NumberFieldElement.num.__set__
+_set_den = NumberFieldElement.den.__set__
+
+
+def _zelement(ctx: NumberFieldContext, den: int, v: Sequence[int]) -> NumberFieldElement:
+    """The field element with integer coordinates v over den > 0, brought
+    to lowest terms."""
+    g = gcd(den, *v)
+    e = object.__new__(NumberFieldElement)
+    _set_ctx(e, ctx)
+    _set_num(e, tuple(v) if g == 1 else tuple(x // g for x in v))
+    _set_den(e, den // g)
+    return e
 
 
 def _poly_divmod(a, b):

@@ -1,8 +1,10 @@
 """Independent oracles used to compute expected values.
 
 Most of this is deliberately self-contained: plain Fraction loops, integer
-coordinates modulo a monic polynomial, and a private bisection for root
-brackets; those results can be frozen into assertions against the package.
+coordinates modulo a monic polynomial, a private bisection for root
+brackets, and `FractionElement`, field arithmetic on tuples of Fraction
+coefficients; those results can be frozen into assertions against the
+package.
 
 The last section keeps the element-based shift-map orbit and the table-based
 level sweep, with its `scaled_power_table`, that integer coordinates
@@ -13,6 +15,7 @@ certified sign evaluator, so they serve as differential oracles for
 `expand._orbit`, its digit rules and `canonical.m_beta_fast`.
 """
 
+import functools
 from fractions import Fraction
 
 import betaforge as bf
@@ -106,6 +109,130 @@ def root_bracket(coeffs, lo: Fraction, hi: Fraction, bits: int):
         else:
             lo = mid
     return lo, hi
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_bracket(minpoly, lo, hi, bits):
+    return root_bracket(minpoly, lo, hi, bits)
+
+
+def interval_eval(coeffs, lo: Fraction, hi: Fraction):
+    """Interval Horner evaluation of sum(coeffs[i] * x^i) over x in [lo, hi]."""
+    acc_lo = acc_hi = Fraction(0)
+    for c in reversed(coeffs):
+        p = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
+        acc_lo, acc_hi = min(p) + c, max(p) + c
+    return acc_lo, acc_hi
+
+
+class FractionElement:
+    """An element of Q(beta) as a tuple of Fraction coefficients, reduced
+    modulo the context's minimal polynomial by Fraction reduction rows: the
+    representation the package's NumberFieldElement had before it moved to
+    integer coordinates over one denominator.
+
+    Signs come from the private bisection above, not from the package.
+    `enclosure` repeats the package's refinement schedule on the context it
+    is given, so on a fresh context it returns what the package returns on
+    another fresh copy of that context.
+    """
+
+    __slots__ = ("ctx", "coeffs")
+
+    def __init__(self, ctx, coeffs):
+        self.ctx = ctx
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        assert len(self.coeffs) == ctx.degree
+
+    def _coerce(self, other):
+        if isinstance(other, FractionElement):
+            return other
+        return FractionElement(self.ctx, (Fraction(other),) + (Fraction(0),) * (self.ctx.degree - 1))
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return FractionElement(self.ctx, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return FractionElement(self.ctx, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __neg__(self):
+        return FractionElement(self.ctx, [-a for a in self.coeffs])
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        poly = self.ctx.minpoly
+        d = len(poly) - 1
+        base = [Fraction(-c, poly[-1]) for c in poly[:-1]]
+        rows = [base]  # rows[k]: beta^(d+k) reduced to degree < d
+        for _ in range(d - 2):
+            prev = rows[-1]
+            rows.append([s + prev[-1] * b for s, b in zip([Fraction(0)] + prev[:-1], base)])
+        conv = [Fraction(0)] * (2 * d - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(o.coeffs):
+                conv[i + j] += a * b
+        out = conv[:d]
+        for k in range(d, 2 * d - 1):
+            out = [x + conv[k] * r for x, r in zip(out, rows[k - d])]
+        return FractionElement(self.ctx, out)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        """Solve self * y = 1 by Gaussian elimination over Q on the matrix
+        of multiplication by self."""
+        d = self.ctx.degree
+        unit = [FractionElement(self.ctx, [Fraction(int(i == j)) for i in range(d)]) for j in range(d)]
+        cols = [(self * u).coeffs for u in unit]
+        rows = [[cols[j][i] for j in range(d)] + [Fraction(int(i == 0))] for i in range(d)]
+        for c in range(d):
+            piv = next(r for r in range(c, d) if rows[r][c])
+            rows[c], rows[piv] = rows[piv], rows[c]
+            rows[c] = [x / rows[c][c] for x in rows[c]]
+            for r in range(d):
+                if r != c and rows[r][c]:
+                    rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+        return FractionElement(self.ctx, [rows[i][d] for i in range(d)])
+
+    def sign(self):
+        if not any(self.coeffs):
+            return 0
+        lo, hi = self.ctx.isolating
+        bits = 32
+        while True:
+            blo, bhi = _cached_bracket(tuple(self.ctx.minpoly), lo, hi, bits)
+            elo, ehi = interval_eval(self.coeffs, blo, bhi)
+            if elo > 0:
+                return 1
+            if ehi < 0:
+                return -1
+            bits *= 2
+
+    def enclosure(self, max_width: Fraction):
+        ctx = self.ctx
+        lo, hi = ctx.enclosure()
+        while True:
+            elo, ehi = interval_eval(self.coeffs, lo, hi)
+            if ehi - elo <= max_width:
+                return elo, ehi
+            lo, hi = ctx.refine((hi - lo) / 4)
+
+    def __eq__(self, other):
+        return self.coeffs == self._coerce(other).coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        terms = [f"{c}" if i == 0 else f"{c}*b^{i}" for i, c in enumerate(self.coeffs) if c]
+        return "NFE(" + (" + ".join(terms) if terms else "0") + ")"
 
 
 def zint_mul_by_root(coords, minpoly):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import betaforge as bf
-from betaforge.cli import parse_tosses, run_command
+from betaforge import cli
+from betaforge.cli import COMMANDS, parse_tosses, run_command
 from betaforge.pairing import PAIRING_CAP, decode_pairing, encode_pairing
 
 TABLE1 = {
@@ -447,3 +449,79 @@ def test_python_dash_m_entry_point():
         timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "1011\n", "")
+
+
+# Help and usage output as printed when every subparser carried its
+# arguments on every call: sha256 of stdout and stderr at 80 columns.
+HELP_ARGVS = [["--help"]] + [[name, "--help"] for name in COMMANDS]
+PINNED_HELP = {
+    "--help": "f9a5b42176dceaed4cf64bc4e0371a8a5e11dfad8566e5d1e3a151fa9377cc78",
+    "expand": "e462d4b1006af9cb3264a9524d89cc7dd14a73d7c334fbae80ddc8f2288ce9a3",
+    "lazy": "7bd4dc4cb7653d4a828d1993aa3d6f5562fee28ea618899cddb9fb0adfa6c550",
+    "random": "14159b1c2a2b6c88f4259e0cb39dd3c993746a191d32a7ec9d4dd973d8107b7f",
+    "convert": "a3dfaa369f0ba852b198c211ae65c3b1aff8af455fd737732b7a7d2e0457a28c",
+    "convert-stream": "c9c13b29eacd570fff5fed30122fc8f8bfb22842c575d3ed61298053f2d6bac4",
+    "canonicalize": "a8af174b2960dc014584b3d71ead0746dbef3544badae48c92164b43e96ab129",
+    "enumerate": "7965360cf2a04d54a4c4d40e5ac04cb5a56ec19152125192d79419ccc7780388",
+    "classes": "8f931e53d035fb4498ff7f05f7a6ec29d8bad5942d428e33c629d4aa2241ee8e",
+    "tosses": "3f6793103575cf8398a0e9228b005bc80bb5086ac9f46ff2d0586bed43546b7b",
+    "adc": "3b4220ea09b9b825d5d6e13bcdef305232b32957e4b51f0e33e264983f39629b",
+    "pipeline": "7c864fa095668ecf497729fa52d1e2870d34d8f0f9deee3694e7a6733e2dc323",
+    "bounds": "cdff5b35a588ef7bf294582356eb52313f9c175871dab0a99c764a65fa3d9b2d",
+    "measure": "74d5cc92ead1870b7b974ee3ef57abe497055aac8b8025fcbf839314ada132b6",
+    "encode": "eb1f81cf525254d77b6baee2ae9b11aa6246f17db9b2028f4e2263559b9f00a2",
+    "decode": "d1d5b6bf5adc3ad2c1419797ea24df5ddf5aba52c8b39324175423eee7bb1c4e",
+}
+# usage errors: argv -> sha256 of stderr (exit 2, empty stdout)
+USAGE_ERRORS = [["expand", "--beta", "2"], [], ["nosuch"], ["expand", "--s"]]
+PINNED_USAGE = [
+    "933c19fd30fa69ddddfb8ce35b275edbf5d9ef151ef3361e6f6a9e8dab00d426",
+    "dc590177bb4a38b7eb794f77991a83aff9069a9d2115355f4faef3237a9c944d",
+    "0a36d8f36ba4f88931bd912ff91a42c30b8f0be0d73dad817c351e66881d3a2f",
+    "9d15983420dcf434d84fe3fb2e31a32f0b4842fa6c72903458f999e386dd93cc",
+]
+
+
+def _argparse_exit(capsys, monkeypatch, argv, build=None):
+    """(status, stdout, stderr) of a call that argparse ends itself."""
+    monkeypatch.setenv("COLUMNS", "80")
+    capsys.readouterr()
+    if build is None:
+        status = run_command(argv)[0]
+    else:
+        with pytest.raises(SystemExit) as exc:
+            build().parse_args(argv)
+        status = exc.value.code
+    out, err = capsys.readouterr()
+    return status, out, err
+
+
+def _parser_with_every_subcommand():
+    """The parser as built when every subcommand got its arguments."""
+    top = argparse.ArgumentParser(prog="betaforge", description=cli.__doc__.splitlines()[0])
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, specs, defaults) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--json", action="store_true", help="structured output")
+        for flag, kwargs in specs:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler, **defaults)
+    return top
+
+
+@pytest.mark.parametrize("argv", HELP_ARGVS + USAGE_ERRORS, ids=" ".join)
+def test_help_and_usage_match_the_full_parser(capsys, monkeypatch, argv):
+    got = _argparse_exit(capsys, monkeypatch, argv)
+    assert got == _argparse_exit(capsys, monkeypatch, argv, _parser_with_every_subcommand)
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse formats help differently from Python 3.13")
+def test_pinned_help_and_usage(capsys, monkeypatch):
+    for argv in HELP_ARGVS:
+        status, out, err = _argparse_exit(capsys, monkeypatch, argv)
+        assert (status, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HELP[argv[0]]
+    for argv, digest in zip(USAGE_ERRORS, PINNED_USAGE):
+        status, out, err = _argparse_exit(capsys, monkeypatch, argv)
+        assert (status, out) == (2, "")
+        assert hashlib.sha256(err.encode()).hexdigest() == digest
