@@ -32,7 +32,7 @@ from .numerics import (
     _zdiv_beta,
     _zmul_beta,
 )
-from .expand import validate_bits
+from .expand import delta_finite, validate_bits
 
 __all__ = [
     "MinPolyData",
@@ -317,8 +317,6 @@ def partition_words(beta: BetaSpec, words: Sequence[str], values: Optional[Seque
     if any(len(w) != n for w in words):
         raise DomainError("all words in a partition must share one length")
     if values is None:
-        from .expand import delta_finite
-
         values = [delta_finite(beta, w) for w in words]
     groups: dict = {}
     for w, v in zip(words, values):

@@ -30,8 +30,9 @@ from .numerics import (
     exact_cmp,
     exact_log2_bounds,
     floor_log2,
+    _least_power,
 )
-from .expand import greedy_prefix, validate_bits, _delta2
+from .expand import greedy_prefix, validate_bits, _delta2, _tail, _word_value
 
 __all__ = [
     "InsufficientBitsError",
@@ -89,26 +90,17 @@ class RationalConvParams:
         return max(i, lead + self.sigma_offset)
 
 
-def params_rational(beta) -> RationalConvParams:
+def params_rational(beta: RationalBeta) -> RationalConvParams:
     """Schedule for a rational base: N is the least chunk size that contracts
     the carried residual back into [0, 1], and sigma(i) reads just enough
     binary digits to keep each injected increment small."""
-    if isinstance(beta, RationalBeta):
-        b = beta.value
-    elif isinstance(beta, (Fraction, int)):
-        b = Fraction(beta)
-    else:
+    if not isinstance(beta, RationalBeta):
         raise DomainError("the chunk converter needs a rational base; use the stream converter otherwise")
+    b = beta.value
     if not (1 < b < 2):
         raise DomainError(f"rational converter needs beta strictly inside (1, 2), got {b}")
-    # least N with beta^N >= 2
-    n_chunk = 0
-    p = Fraction(1)
-    while p < 2:
-        p *= b
-        n_chunk += 1
     offset = ceil_log2(2 * (b - 1) / (2 - b))
-    return RationalConvParams(b, n_chunk, offset)
+    return RationalConvParams(b, _least_power(b, 2), offset)
 
 
 @dataclass(frozen=True)
@@ -118,7 +110,7 @@ class RationalConversion:
     params: RationalConvParams
 
 
-def convert_rational(beta, binary_prefix: str, n: int) -> RationalConversion:
+def convert_rational(beta: RationalBeta, binary_prefix: str, n: int) -> RationalConversion:
     """Convert the first sigma(n) digits of a greedy binary expansion into
     N*n digits of an expansion of the same value in base beta.
 
@@ -130,11 +122,11 @@ def convert_rational(beta, binary_prefix: str, n: int) -> RationalConversion:
     validate_bits(binary_prefix)
     if n < 0:
         raise DomainError("chunk count must be nonnegative")
-    sigmas = [params.sigma(i) for i in range(n + 1)]
-    if len(binary_prefix) < sigmas[n]:
-        raise InsufficientBitsError("binary", sigmas[n])
+    last = params.sigma(n)  # sigma increases: check before building the schedule
+    if len(binary_prefix) < last:
+        raise InsufficientBitsError("binary", last)
+    sigmas = [params.sigma(i) for i in range(n)] + [last]
     carry_cap = (b / 2) / (b - 1)
-    spec = RationalBeta(b)
     residual = Fraction(0)
     residuals = [residual]
     out = []
@@ -147,7 +139,7 @@ def convert_rational(beta, binary_prefix: str, n: int) -> RationalConversion:
                 f"step {i}: carried sum {total} outside [0, {carry_cap}]; "
                 f"residual={residual} injected={injected} beta={b}"
             )
-        chunk, residual = greedy_prefix(spec, total, n_chunk)
+        chunk, residual = greedy_prefix(beta, total, n_chunk)
         if not (0 <= residual <= 1):
             raise InvariantViolation(f"step {i}: residual {residual} left [0, 1]")
         out.append(chunk)
@@ -222,12 +214,7 @@ def params_stream(beta: StreamBeta) -> StreamConvParams:
     guarantees hold for every base inside the brackets."""
     lo, hi = beta.lo, beta.hi
     floor = 1 + (lo - 1) / 10
-    target = 2 * (2 - floor) / (2 - hi)
-    n_chunk = 0
-    p = Fraction(1)
-    while p < target:
-        p *= floor
-        n_chunk += 1
+    n_chunk = _least_power(floor, 2 * (2 - floor) / (2 - hi))
     # correction cap shrinks as beta grows; evaluate at the upper bracket
     c_lower = (hi / (2 * (hi - 1)) - 1) / 3
     if c_lower <= 0:
@@ -301,20 +288,15 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
             "stream bits inconsistent with brackets"
         )
 
-    sigmas = [0]
-    for i in range(1, n + 1):
-        lead, _ = exact_log2_bounds(approximants[i + 1], n_chunk * i)
-        sigmas.append(lead - params.floor_log2_C)
+    def sigma(i):
+        return exact_log2_bounds(approximants[i + 1], n_chunk * i)[0] - params.floor_log2_C if i else 0
+
+    last = sigma(n)  # checked before the whole schedule is built
+    if len(binary_prefix) < last:
+        raise InsufficientBitsError("binary", last)
+    sigmas = [sigma(i) for i in range(n)] + [last]
     if any(a >= b2 for a, b2 in zip(sigmas, sigmas[1:])):
         raise InvariantViolation(f"binary read schedule not strictly increasing: {sigmas}")
-    if len(binary_prefix) < sigmas[n]:
-        raise InsufficientBitsError("binary", sigmas[n])
-
-    def word_value(base: Fraction, word: str) -> Fraction:
-        acc = Fraction(0)
-        for ch in reversed(word):
-            acc = (acc + (ch == "1")) / base
-        return acc
 
     emitted = ""
     emitted_value = Fraction(0)  # value of `emitted` against the current approximant
@@ -327,7 +309,7 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
         step_slice = binary_prefix[sigmas[i] : sigmas[i + 1]]
         scale = b_next ** (n_chunk * i)
         injected = scale / Fraction(1 << sigmas[i]) * _delta2(step_slice)
-        reread = word_value(b_next, emitted)
+        reread = _word_value(b_next, emitted)
         correction = scale * (emitted_value - reread)
 
         def fail(msg):
@@ -361,10 +343,9 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
         step_residual = residual
         residual = ratio * shifted
         emitted += chunk
-        emitted_value = reread + word_value(b_next, chunk) / scale
+        emitted_value = reread + _word_value(b_next, chunk) / scale
         approx_gap = _delta2(binary_prefix[: sigmas[i + 1]]) - emitted_value
-        tail = Fraction(1) / (b_next ** (n_chunk * (i + 1)) * (b_next - 1))
-        if not (0 <= approx_gap <= tail):
+        if not (0 <= approx_gap <= _tail(b_next, n_chunk * (i + 1))):
             fail("emitted word drifted from the binary prefix")
         diags.append(
             StepDiagnostics(i, b_cur, sigmas[i], step_residual, injected, correction, ratio, approx_gap)

@@ -9,6 +9,11 @@ device in `tosses_adc` included, runs on the one orbit loop `_orbit` and
 declares up front the thresholds it compares against.  On a field base the
 orbit steps integer coordinates over one shared denominator and decides
 each comparison with a certified sign; a rational base steps Fractions.
+
+The exact-value cores take an exact base value b, a Fraction or a field
+element: `_word_value(b, bits)` behind `delta_finite` and `_tail(b, n)` =
+b^-n/(b-1) behind `tail_bound`, also used on converter approximants and
+window endpoints.
 """
 
 from __future__ import annotations
@@ -222,17 +227,21 @@ def _check_in_domain(b, s):
         raise DomainError("value outside [0, 1/(beta-1)]")
 
 
-def delta_finite(beta: BetaSpec, bits: str) -> ExactReal:
-    """Exact value sum(bits[i] * beta^-(i+1)); empty input gives 0."""
-    b = beta_value(beta)
-    validate_bits(bits)
+def _word_value(b: ExactReal, bits: str) -> ExactReal:
+    """Exact value sum(bits[i] * b^-(i+1)) for an exact base value b."""
     inv_b = _inv(b)
     acc = b - b  # zero of the right type
+    one = acc + 1
     for ch in reversed(bits):
-        acc = acc * inv_b
         if ch == "1":
-            acc = acc + inv_b
+            acc = acc + one
+        acc = acc * inv_b
     return acc
+
+
+def delta_finite(beta: BetaSpec, bits: str) -> ExactReal:
+    """Exact value sum(bits[i] * beta^-(i+1)); empty input gives 0."""
+    return _word_value(beta_value(beta), validate_bits(bits))
 
 
 def _delta2(bits: str) -> Fraction:
@@ -240,10 +249,14 @@ def _delta2(bits: str) -> Fraction:
     return Fraction(int(bits or "0", 2), 1 << len(bits))
 
 
+def _tail(b: ExactReal, n: int) -> ExactReal:
+    """b^-n / (b - 1) for the exact base value b."""
+    return _inv(b) ** n * _inv(b - 1)
+
+
 def tail_bound(beta: BetaSpec, n: int) -> ExactReal:
     """beta^-n / (beta - 1): the largest value n trailing digits can add."""
-    b = beta_value(beta)
-    return _inv(b) ** n * _inv(b - 1)
+    return _tail(beta_value(beta), n)
 
 
 def greedy_prefix(beta: BetaSpec, r: ExactReal, n_digits: int):

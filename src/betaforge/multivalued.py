@@ -10,6 +10,10 @@ length):
     f_2_to_beta   widens J(x) = [value(x) - 2^-n, value(x) + 2^-n] by 2^-n
     g_beta_window widens [value(x) -/+ tail] by 2^-n with n = len(x)
 
+The exact-value cores `_word_value`, `_tail` (expand) and `_least_power`
+(numerics, behind `base_length`) take an exact value, so f_beta_to_2
+evaluates a rational or field window endpoint as it would a base.
+
 The exact prefix set of s is a window too: the length-n words with values in
 [s - beta^-n/(beta-1), s].  f_2_to_beta, g_beta_window and enumerate_expansions
 share one pruned walk, `_dfs_window`, whose word values g_beta_window
@@ -32,8 +36,9 @@ from .numerics import (
     beta_value,
     exact_cmp,
     exact_floor,
+    _least_power,
 )
-from .expand import delta_finite, tail_bound, validate_bits, _check_in_domain, _delta2, _inv
+from .expand import delta_finite, tail_bound, validate_bits, _check_in_domain, _delta2, _inv, _tail, _word_value
 from .algebraic import ClassPartition, partition_words
 
 __all__ = [
@@ -83,13 +88,7 @@ def base_length(beta_value_lo: ExactReal, n: int) -> int:
     at least n binary digits of precision.  Exact-power ties take the integer."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    target = Fraction(1 << n)
-    m = 0
-    p = beta_value_lo - beta_value_lo + 1
-    while exact_cmp(p, target) < 0:
-        p = p * beta_value_lo
-        m += 1
-    return m
+    return _least_power(beta_value_lo, Fraction(1 << n))
 
 
 def _ceil_exact(v: ExactReal) -> int:
@@ -117,12 +116,9 @@ def f_beta_to_2(beta_window: Interval, x: str, n: int) -> CandidateSet:
         raise WrongLengthError(len(x), required)
     degenerate = exact_cmp(b1, b2) == 0
     pad = Fraction(1, 1 << n)
-    v_at_b2 = delta_finite(_as_spec(b2), x)
-    v_at_b1 = v_at_b2 if degenerate else delta_finite(_as_spec(b1), x)
-    if degenerate:
-        tail = pad * _inv(b1 - 1)
-    else:
-        tail = _inv(b1) ** required * _inv(b1 - 1)
+    v_at_b2 = _word_value(b2, x)
+    v_at_b1 = v_at_b2 if degenerate else _word_value(b1, x)
+    tail = pad * _inv(b1 - 1) if degenerate else _tail(b1, required)
     window = Interval(v_at_b2 - pad, v_at_b1 + tail)
     scale = 1 << n
     k_lo = max(0, _ceil_exact((window.lo - pad) * scale))
@@ -132,16 +128,6 @@ def f_beta_to_2(beta_window: Interval, x: str, n: int) -> CandidateSet:
         raise SizeGuardError(f"candidate set of size {count} exceeds guard {SET_GUARD}")
     words = tuple(_bits_of(k, n) for k in range(k_lo, k_hi + 1))
     return CandidateSet(n, words, window, n)
-
-
-def _as_spec(v: ExactReal) -> BetaSpec:
-    from .numerics import AlgebraicBeta, NumberFieldElement, RationalBeta
-
-    if isinstance(v, NumberFieldElement):
-        if v == NumberFieldElement.generator(v.ctx):
-            return AlgebraicBeta(v.ctx)
-        raise DomainError("algebraic window endpoints must be the field generator")
-    return RationalBeta(Fraction(v))
 
 
 def _window_table(b: ExactReal, length: int):

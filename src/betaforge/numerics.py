@@ -14,6 +14,7 @@ resultant bound on a nonzero element proves the polynomial reducible.
 
 from __future__ import annotations
 
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,7 +87,12 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+    """"p/q" or "p"; past the interpreter's int-to-str digit limit, which stays
+    as it is, a SizeGuardError."""
+    try:
+        return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+    except ValueError:  # raised only where the limit exists
+        raise SizeGuardError(f"number too long to print: more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def _cmp_pow2(a: Fraction, m: int) -> int:
@@ -652,6 +658,17 @@ def ceil_log2(a: ExactReal) -> int:
     """Least m with 2^m >= a, for a > 0; exact powers of two take their exponent."""
     f = floor_log2(a)
     return f if exact_cmp(a, Fraction(2) ** f) == 0 else f + 1
+
+
+def _least_power(b: ExactReal, target: ExactReal) -> int:
+    """Least m >= 0 with b^m >= target, for b > 1; exact_cmp decides each
+    step, so an exact power b^m = target gives m."""
+    m = 0
+    p = b - b + 1
+    while exact_cmp(p, target) < 0:
+        p = p * b
+        m += 1
+    return m
 
 
 def _size_bits(a: ExactReal) -> int:

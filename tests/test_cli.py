@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -438,17 +439,36 @@ def test_pinned_error(name):
     assert run_command(argv) == (1, "", stderr)
 
 
-def test_python_dash_m_entry_point():
+def _python_dash_m(argv):
     src = os.path.dirname(os.path.dirname(bf.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "betaforge", "lazy", "--beta", "2", "--s", "3/4", "--n", "4"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "betaforge", *argv], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+def test_python_dash_m_entry_point():
+    done = _python_dash_m(["lazy", "--beta", "2", "--s", "3/4", "--n", "4"])
     assert (done.returncode, done.stdout, done.stderr) == (0, "1011\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        # a separation bound of more digits than the interpreter prints
+        (["bounds", "--beta", "golden", "--n", "800"], "error: number too long to print: more than {limit} digits\n"),
+        (["convert", "--beta", "3/2", "--binary", "0101", "--chunks", "30000"],
+         "error: insufficient binary bits: need at least 35099\n"),
+    ],
+)
+def test_oversized_inputs_end_in_one_error_line(argv, stderr):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if argv[0] == "bounds" and not limit:
+        pytest.skip("this interpreter prints integers of any length")
+    t0 = time.perf_counter()
+    done = _python_dash_m(argv)
+    assert time.perf_counter() - t0 < 5
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", stderr.format(limit=limit))
 
 
 # Help and usage output as printed when every subparser carried its

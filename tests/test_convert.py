@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,11 @@ class TestRationalParams:
         with pytest.raises(bf.DomainError):
             bf.params_rational(bf.RationalBeta(Fraction(2)))
 
+    def test_takes_only_a_rational_base(self, golden):
+        for beta in (Fraction(3, 2), golden.beta):
+            with pytest.raises(bf.DomainError):
+                bf.params_rational(beta)
+
 
 class TestConvertRational:
     def test_single_chunk(self):
@@ -60,6 +66,15 @@ class TestConvertRational:
         with pytest.raises(bf.InsufficientBitsError) as ei:
             bf.convert_rational(B32, "110", 2)
         assert ei.value.required == 4
+
+    def test_prefix_checked_against_sigma_n_first(self):
+        # sigma increases, so sigma(n) decides before the n + 1 schedule
+        # values are built (30000 of them take seconds)
+        t0 = time.perf_counter()
+        with pytest.raises(bf.InsufficientBitsError) as ei:
+            bf.convert_rational(B32, "0101", 30000)
+        assert ei.value.required == 35099 == bf.params_rational(B32).sigma(30000)
+        assert time.perf_counter() - t0 < 5
 
     def test_validity_and_residual_range(self, rng):
         for beta in (Fraction(3, 2), Fraction(9, 5), Fraction(7, 4)):
@@ -198,6 +213,14 @@ class TestConvertStream:
         with pytest.raises(bf.InsufficientBitsError) as ei:
             bf.convert_stream(stream, "101", 2)
         assert ei.value.kind == "binary"
+
+    def test_insufficient_binary_bits_names_sigma_n(self):
+        prefix = greedy_oracle(Fraction(2), Fraction(5, 11), 600)
+        for n in (1, 2, 7, 30):
+            need = bf.convert_stream(bf.stream_from_exact(B32), prefix, n).sigmas[n]
+            with pytest.raises(bf.InsufficientBitsError) as ei:
+                bf.convert_stream(bf.stream_from_exact(B32), prefix[: need - 1], n)
+            assert (ei.value.kind, ei.value.required) == ("binary", need)
 
     def test_prefix_stability(self):
         stream1 = bf.stream_from_exact(B32)

@@ -31,6 +31,13 @@ class TestBaseLength:
         # G^m >= 2^4 first at m = 6 (G^5 ~ 11.09, G^6 ~ 17.94)
         assert bf.base_length(g, 4) == 6
 
+    def test_exact_power_ties_in_the_field(self, sqrt2):
+        b = sqrt2.beta.element()
+        # sqrt2^2 = 2 and sqrt2^6 = 8 exactly: the power itself is the answer
+        assert bf.base_length(b, 1) == 2
+        assert bf.base_length(b, 3) == 6
+        assert bf.base_length(b, 0) == 0
+
 
 class TestFBetaTo2:
     def test_pinned_degenerate_example(self):
@@ -79,6 +86,18 @@ class TestFBetaTo2:
             s = random_rational(rng, Fraction(0), Fraction(1))
             x = greedy_oracle(beta, s, m)
             cs = bf.f_beta_to_2(bf.Interval(b1, b2), x, n)
+            assert greedy_oracle(Fraction(2), s, n) in cs.words
+
+    def test_field_window_endpoints(self, golden, rng):
+        # the upper endpoint is a field element other than beta itself
+        b1 = golden.beta.element()
+        window = bf.Interval(b1, b1 + Fraction(1, 100))
+        for _ in range(12):
+            n = rng.randrange(2, 7)
+            m = bf.base_length(b1, n)
+            beta = b1 + Fraction(rng.randrange(0, 11), 1000)
+            s = random_rational(rng, Fraction(0), Fraction(1))
+            cs = bf.f_beta_to_2(window, greedy_oracle(beta, s, m), n)
             assert greedy_oracle(Fraction(2), s, n) in cs.words
 
     def test_window_count_bound(self, rng):

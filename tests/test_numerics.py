@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import betaforge as bf
-from betaforge.numerics import NumberFieldContext, NumberFieldElement
+from betaforge.numerics import NumberFieldContext, NumberFieldElement, format_rational
 
 
 def make_golden_ctx():
@@ -195,6 +196,14 @@ class TestFloorsAndParsing:
         spec = bf.beta_from_json({"bits": "1000", "lo": "3/2", "hi": "3/2"})
         with pytest.raises(bf.ExactnessRequiredError):
             bf.beta_value(spec)
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str limit")
+    def test_format_rational_too_long_to_print(self):
+        limit = sys.get_int_max_str_digits()
+        assert format_rational(Fraction(10 ** (limit - 1), 3)).endswith("/3")
+        for q in (Fraction(10**limit), Fraction(1, 10**limit), Fraction(10**limit + 1, 7)):
+            with pytest.raises(bf.SizeGuardError, match=f"more than {limit} digits"):
+                format_rational(q)
 
     def test_rational_beta_domain(self):
         with pytest.raises(bf.DomainError):
