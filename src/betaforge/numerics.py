@@ -662,7 +662,10 @@ def ceil_log2(a: ExactReal) -> int:
 
 def _least_power(b: ExactReal, target: ExactReal) -> int:
     """Least m >= 0 with b^m >= target, for b > 1; exact_cmp decides each
-    step, so an exact power b^m = target gives m."""
+    step, so an exact power b^m = target gives m.  A base at or below 1 is a
+    DomainError, since its powers need never reach the target."""
+    if exact_cmp(b, 1) <= 0:
+        raise DomainError(f"least power needs a base above 1, got {b}")
     m = 0
     p = b - b + 1
     while exact_cmp(p, target) < 0:

@@ -9,11 +9,15 @@ that drive the randomized algorithm to a particular expansion prefix are
 recoverable: they sit exactly at the indices where the prefix tree branches,
 which are the steps where the prefix's own trajectory visits the switch
 region.  `replay_tosses` reads them off that trajectory in time linear in
-the prefix length; `extract_tosses` reads them off a given full prefix set.
+the prefix length; `extract_tosses` reads them off a given full prefix set
+of K members, in any order, with one sort (O(K) when the members come
+sorted, as `enumerate_expansions` returns them) and n + 1 bisections for a
+word of n digits.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -154,21 +158,24 @@ def replay_tosses(beta: BetaSpec, s: ExactReal, x: str) -> str:
 
 def branch_indices(expansions: Sequence[str], x: str) -> tuple[int, ...]:
     """Indices i (0-based prefix lengths) at which some member of the prefix
-    set shares x's first i digits but then differs."""
+    set shares x's first i digits but then differs.
+
+    Members may come in any order.  Sorted, the members that start with a
+    given prefix sit together, from the first member at or after it; so one
+    bisection decides membership and one more per depth i decides whether
+    some member starts with x[:i] followed by the other digit."""
     validate_bits(x)
-    if x not in set(expansions):
+    words = sorted(expansions)
+    j = bisect_left(words, x)
+    if j == len(words) or words[j] != x:
         raise DomainError("word is not a member of the given prefix set")
-    n = len(x)
-    branches = set()
-    for y in expansions:
-        if y == x:
-            continue
-        cp = 0
-        while cp < n and y[cp] == x[cp]:
-            cp += 1
-        if cp < n:
-            branches.add(cp)
-    return tuple(sorted(branches))
+    branches = []
+    for i, d in enumerate(x):
+        sibling = x[:i] + ("1" if d == "0" else "0")
+        j = bisect_left(words, sibling)
+        if j < len(words) and words[j].startswith(sibling):
+            branches.append(i)
+    return tuple(branches)
 
 
 def extract_tosses(beta: BetaSpec, expansions: Sequence[str], x: str) -> str:

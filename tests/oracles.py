@@ -354,6 +354,26 @@ def dyadic_log2_upper_bisection(a: Fraction, precision_bits: int = 16) -> Fracti
     return Fraction(hi_k, scale)
 
 
+def branch_indices_scan(expansions, x: str) -> tuple:
+    """Branch indices of x by comparing it with every member: the depth at
+    which each other member first differs from x, if it differs before either
+    word ends.  O(K*n) per word; raises DomainError for a non-member."""
+    if x not in set(expansions):
+        raise bf.DomainError("word is not a member of the given prefix set")
+    n = len(x)
+    branches = set()
+    for y in expansions:
+        if y == x:
+            continue
+        m = min(n, len(y))
+        cp = 0
+        while cp < m and y[cp] == x[cp]:
+            cp += 1
+        if cp < m:
+            branches.add(cp)
+    return tuple(sorted(branches))
+
+
 # --- element-based orbit and table-based sweep -----------------------------
 
 

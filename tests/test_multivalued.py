@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,16 @@ class TestBaseLength:
         assert bf.base_length(b, 1) == 2
         assert bf.base_length(b, 3) == 6
         assert bf.base_length(b, 0) == 0
+
+    def test_base_at_or_below_one_is_a_domain_error(self, golden):
+        # powers of such a base never reach 2^n; the least-power core refuses
+        # the base itself, for every n, instead of looping
+        g_inv = golden.beta.element().inverse()
+        for b, n in ((Fraction(1), 3), (Fraction(1, 2), 3), (Fraction(1), 0), (g_inv, 2)):
+            t0 = time.perf_counter()
+            with pytest.raises(bf.DomainError, match="least power needs a base above 1"):
+                bf.base_length(b, n)
+            assert time.perf_counter() - t0 < 1
 
 
 class TestFBetaTo2:

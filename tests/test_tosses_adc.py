@@ -4,10 +4,11 @@ import pytest
 
 import betaforge as bf
 from conftest import random_rational
-from oracles import adc_oracle
+from oracles import adc_oracle, branch_indices_scan
 
 B32 = bf.RationalBeta(Fraction(3, 2))
 B2 = bf.RationalBeta(Fraction(2))
+B74 = bf.RationalBeta(Fraction(7, 4))
 
 
 def golden_exact_band(golden):
@@ -100,7 +101,7 @@ class TestExtractTosses:
 
     def test_membership_required(self, golden):
         words = bf.enumerate_expansions(golden.beta, Fraction(1), 4)
-        with pytest.raises(bf.DomainError):
+        with pytest.raises(bf.DomainError, match="^word is not a member of the given prefix set$"):
             bf.extract_tosses(golden.beta, words, "0000")
 
     def test_injective_on_prefix_set(self, golden):
@@ -145,6 +146,55 @@ class TestExtractTosses:
             assert h - prev in (0, 1)
             assert h <= n
             prev = h
+
+
+class TestBranchIndicesAgainstScan:
+    """The bisection over the sorted members against `branch_indices_scan`,
+    the comparison of x with every member."""
+
+    @staticmethod
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except bf.DomainError as e:
+            return ("DomainError", str(e))
+
+    def assert_matches_scan(self, spec, words, x):
+        expected = self.outcome(branch_indices_scan, words, x)
+        assert self.outcome(bf.branch_indices, words, x) == expected
+        tosses = expected if "DomainError" in expected else "".join(x[i] for i in expected)
+        assert self.outcome(bf.extract_tosses, spec, words, x) == tosses
+
+    def test_random_sets(self, rng):
+        # shuffled, duplicated, mixed-length members; x a member or absent
+        def word(k):
+            return "".join(rng.choice("01") for _ in range(k))
+
+        absent = 0
+        for _ in range(400):
+            words = [word(rng.randrange(0, 10)) for _ in range(rng.randrange(1, 12))]
+            words += rng.sample(words, rng.randrange(0, len(words) + 1))
+            rng.shuffle(words)
+            x = rng.choice(words) if rng.random() < 0.6 else word(rng.randrange(0, 9))
+            absent += x not in words
+            self.assert_matches_scan(B32, words, x)
+        assert absent >= 50
+
+    def test_every_member_of_real_prefix_sets(self, rng, golden, tribonacci):
+        for spec in (golden.beta, tribonacci.beta, B32, B74):
+            for n in range(1, 15):
+                for s in (Fraction(1), random_rational(rng), random_rational(rng)):
+                    words = bf.enumerate_expansions(spec, s, n)
+                    shuffled = rng.sample(words, len(words))
+                    for x in words:
+                        self.assert_matches_scan(spec, words, x)
+                        self.assert_matches_scan(spec, shuffled, x)
+
+    def test_member_that_is_a_prefix_of_x(self):
+        # "01" shares x's first two digits and then ends: no branch there
+        assert bf.branch_indices(["0111", "01"], "0111") == ()
+        assert bf.extract_tosses(B32, ["0111", "01"], "0111") == ""
+        assert bf.branch_indices(["0111", "01", "00"], "0111") == (1,)
 
 
 class TestAdcFaults:
