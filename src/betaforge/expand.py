@@ -7,8 +7,9 @@ coin toss exactly on the switch region [1/beta, 1/(beta*(beta-1))] where both
 digits stay valid.  All residuals are exact.  Every rule, the comparator
 device in `tosses_adc` included, runs on the one orbit loop `_orbit` and
 declares up front the thresholds it compares against.  On a field base the
-orbit steps integer coordinates over one shared denominator and decides
-each comparison with a certified sign; a rational base steps Fractions.
+orbit steps integer coordinates over one shared denominator and sends each
+comparison through the integer interval filter of `numerics`; a certified
+exact sign is taken only on near-ties.  A rational base steps Fractions.
 
 The exact-value cores take an exact base value b, a Fraction or a field
 element: `_word_value(b, bits)` behind `delta_finite` and `_tail(b, n)` =
@@ -28,6 +29,7 @@ from .numerics import (
     BetaSpec,
     DomainError,
     ExactReal,
+    FILTER_BITS,
     beta_value,
     exact_cmp,
     exact_float,
@@ -163,6 +165,11 @@ def _side(sign, lo, hi) -> int:
     return 1 if sign(hi) > 0 else 0
 
 
+# the orbit stops filtering once a residual's filter bounds are wider than
+# 2^_FILTER_SLACK times its denominator: 2^-(FILTER_BITS - _FILTER_SLACK) in value
+_FILTER_SLACK = FILTER_BITS // 2
+
+
 def _orbit(b, r, n, rule, cuts=()):
     """The shift map r -> b*r - d for n steps, with (d, origin) =
     rule(i, sign, residual).  The rule compares the residual only with the
@@ -172,8 +179,15 @@ def _orbit(b, r, n, rule, cuts=()):
     tosses_adc.adc_run).  Returns the word and the final residual.
 
     Rational bases step Fractions.  Field bases step integer coordinates over
-    one shared denominator, and every sign goes through the context's
-    certified evaluator; the exact residual is built only when asked for.
+    one shared denominator; the exact residual is built only when asked for.
+    Comparisons go through the integer interval filter
+    (`NumberFieldContext.filter_bounds`): the cuts are bounded once per call,
+    the residual once per step at its first comparison, and the certified
+    evaluator runs only when the two intervals overlap, on a near-tie or an
+    exact one.  On a base whose conjugates are not all inside the unit disk
+    the coordinates grow without bound; once a near-tie finds the residual's
+    bounds wider than 2^-(FILTER_BITS - _FILTER_SLACK) in value, the filter
+    can no longer pay for itself and every later sign is taken exactly.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -199,14 +213,31 @@ def _orbit(b, r, n, rule, cuts=()):
     poly = ctx.minpoly
     a = poly[-1]
     sgn = ctx.sign_of_coeffs
+    bounds = ctx.filter_bounds
     den, (v, *cut_v) = _zcoords(ctx.degree, (r,) + tuple(cuts))
+    cut_box = [bounds(c) for c in cut_v]
+    box = None  # the residual's filter bounds, built at a step's first comparison
 
-    def sign(k):
+    def exact(k):
         return sgn([x - y for x, y in zip(v, cut_v[k])])
+
+    def filtered(k):
+        nonlocal box, sign
+        if box is None:
+            box = bounds(v)
+        lo, hi = cut_box[k]
+        if box[0] > hi:
+            return 1
+        if box[1] < lo:
+            return -1
+        if box[1] - box[0] > den << _FILTER_SLACK:
+            sign = exact  # the coordinates have outgrown the filter
+        return exact(k)
 
     def residual():
         return r if r is not None else _zelement(ctx, den, v)
 
+    sign = filtered
     for i in range(n):
         d, origin = rule(i, sign, residual)
         if origin is not None:
@@ -216,9 +247,10 @@ def _orbit(b, r, n, rule, cuts=()):
         if a != 1:  # a*beta*v sits over a*den; the cuts follow
             den *= a
             cut_v = [[a * x for x in c] for c in cut_v]
+            cut_box = [(a * lo, a * hi) for lo, hi in cut_box]
         if d:
             v[0] -= den
-        r = None  # the residual now lives in v / den only
+        r = box = None  # the residual now lives in v / den only
     return "".join(out), residual()
 
 

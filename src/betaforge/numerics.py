@@ -18,7 +18,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 from typing import Callable, Iterator, Sequence, Union
 
 __all__ = [
@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 BIT_BUDGET = 1_000_000
+
+# fractional bits of the interval filter's integer bounds (filter_bounds)
+FILTER_BITS = 64
 
 
 class BetaForgeError(Exception):
@@ -128,7 +131,7 @@ class NumberFieldContext:
     starts from the isolating interval.
     """
 
-    __slots__ = ("minpoly", "degree", "isolating", "_lo", "_hi", "_lock", "_zscale", "_zrows", "_dyadic", "_brackets")
+    __slots__ = ("minpoly", "degree", "isolating", "_lo", "_hi", "_lock", "_zscale", "_zrows", "_dyadic", "_brackets", "_powers")
 
     def __init__(self, minpoly: Sequence[int], isolating: tuple[Fraction, Fraction]):
         coeffs = tuple(int(c) for c in minpoly)
@@ -158,6 +161,7 @@ class NumberFieldContext:
         self._zscale, self._zrows = self._reduction_rows()
         self._dyadic = None
         self._brackets = {}
+        self._powers = {}
 
     def _poly_sign(self, q: Fraction) -> int:
         acc = Fraction(0)
@@ -219,6 +223,36 @@ class NumberFieldContext:
         got = self._brackets.get(max_width)
         if got is None:
             got = self._brackets[max_width] = self._bisect(*self.isolating, max_width)
+        return got
+
+    def filter_bounds(self, v: Sequence[int], bits: int = FILTER_BITS) -> tuple[int, int]:
+        """Integers (lo, hi) with lo <= 2^bits * sum(v[j] * root^j) <= hi for
+        an integer coordinate vector v: the interval filter in front of
+        `sign_of_coeffs`.  Two values whose bounds do not overlap compare
+        without a certified sign; the bounds are about sum(|v[j]|) units wide, so
+        they separate everything but near-ties while the coordinates stay
+        small.  The power bounds come from `bracket`, so the answer does not
+        depend on what ran before in the process."""
+        lows, highs = self._power_bounds(bits)
+        lo = hi = 0
+        for x, pl, ph in zip(v, lows, highs):
+            if x < 0:
+                pl, ph = ph, pl
+            lo += x * pl
+            hi += x * ph
+        return lo, hi
+
+    def _power_bounds(self, bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(lows, highs): floor and ceiling of 2^bits * lo^j and 2^bits * hi^j
+        for j < degree, over the root bracket of width 2^-(bits+16); each
+        pair is at most a few units apart.  Memoized per precision."""
+        got = self._powers.get(bits)
+        if got is None:
+            lo, hi = self.bracket(Fraction(1, 1 << (bits + 16)))
+            scale = 1 << bits
+            lows = tuple(floor(scale * lo**j) for j in range(self.degree))
+            highs = tuple(ceil(scale * hi**j) for j in range(self.degree))
+            got = self._powers[bits] = (lows, highs)
         return got
 
     def _dyadic_enclosure(self, bits: int) -> tuple[int, int, int]:
