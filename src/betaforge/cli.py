@@ -319,8 +319,11 @@ def _bounds(args, beta, preset):
     if preset is not None and args.n is not None:
         lines["separation"] = format_rational(separation_bound(preset.data, preset.bounds, args.n))
     if isinstance(beta, RationalBeta):
+        n = 4 if args.n is None else args.n
+        if n < 0:
+            raise DomainError("bounds: --n must be nonnegative")
         pr = params_rational(beta)
-        lines["rational_params"] = {"N": pr.N, "sigma": [pr.sigma(i) for i in range((args.n or 4) + 1)]}
+        lines["rational_params"] = {"N": pr.N, "sigma": [pr.sigma(i) for i in range(n + 1)]}
     ps = params_stream(stream_from_exact(beta))
     lines["stream_params"] = {"N": ps.N, "L": ps.L, "C_lower": format_rational(ps.C_lower)}
     return lines, lambda: "\n".join(f"{k}={_json_dump(v)}" for k, v in sorted(lines.items()))

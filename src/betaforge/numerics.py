@@ -6,16 +6,16 @@ and elements of a real number field Q(beta) given by an integer minimal
 polynomial plus an isolating interval.  A field element is stored as integer
 coordinates over one positive denominator in lowest terms, (num, den) with
 value sum(num[j] * beta^j) / den, so field arithmetic is integer vector
-arithmetic and a sign needs no rescaling.  Signs of field elements are
-decided by interval evaluation over a refined enclosure of beta, so every
-comparison is deterministic and reproducible; an enclosure narrower than the
-resultant bound on a nonzero element proves the polynomial reducible.
+arithmetic and a sign needs no rescaling.  Signs and enclosures come from
+one integer interval evaluator over root brackets bisected afresh from the
+isolating interval, so they do not depend on what ran before; bounds that
+straddle 0 and are narrower than the resultant bound on a nonzero element
+prove the polynomial reducible.
 """
 
 from __future__ import annotations
 
 import sys
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
@@ -105,33 +105,17 @@ def _cmp_pow2(a: Fraction, m: int) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _interval_mul(alo, ahi, blo, bhi):
-    p = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-    return min(p), max(p)
-
-
-def _interval_eval(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction):
-    """Interval Horner evaluation of sum(coeffs[i] * x^i) over x in [lo, hi]."""
-    acc_lo = acc_hi = Fraction(0)
-    for c in reversed(coeffs):
-        acc_lo, acc_hi = _interval_mul(acc_lo, acc_hi, lo, hi)
-        acc_lo += c
-        acc_hi += c
-    return acc_lo, acc_hi
-
-
 class NumberFieldContext:
     """A real algebraic number: integer minimal polynomial plus an isolating
     rational interval containing exactly one real root in (1, 2).
 
-    The context owns a shared, monotonically refined enclosure of the root,
-    used to certify signs of field elements.  Refinement is idempotent and
-    lock-protected, so contexts are safe to share across threads.  Brackets
-    whose endpoints are used as values come from `bracket`, which always
-    starts from the isolating interval.
+    Every root enclosure is a `bracket` and every interval evaluation is
+    `filter_bounds` over one, so signs and enclosures are pure functions of
+    the context and the request; the memos hold only such values, so
+    contexts are safe to share across threads.
     """
 
-    __slots__ = ("minpoly", "degree", "isolating", "_lo", "_hi", "_lock", "_zscale", "_zrows", "_dyadic", "_brackets", "_powers")
+    __slots__ = ("minpoly", "degree", "isolating", "_zscale", "_zrows", "_brackets", "_powers")
 
     def __init__(self, minpoly: Sequence[int], isolating: tuple[Fraction, Fraction]):
         coeffs = tuple(int(c) for c in minpoly)
@@ -146,8 +130,8 @@ class NumberFieldContext:
             raise MalformedContextError("isolating interval must lie within (1, 2)")
         self.minpoly = coeffs
         self.degree = len(coeffs) - 1
-        slo = self._poly_sign(lo)
-        shi = self._poly_sign(hi)
+        slo = self._poly_sign(lo.numerator, lo.denominator)
+        shi = self._poly_sign(hi.numerator, hi.denominator)
         if slo == 0 or shi == 0:
             # endpoint happens to be the root only when the root is rational
             if self.degree != 1:
@@ -155,18 +139,18 @@ class NumberFieldContext:
         elif slo == shi:
             raise MalformedContextError("minimal polynomial does not change sign over the isolating interval")
         self.isolating = (lo, hi)
-        self._lo = lo
-        self._hi = hi
-        self._lock = threading.Lock()
         self._zscale, self._zrows = self._reduction_rows()
-        self._dyadic = None
         self._brackets = {}
         self._powers = {}
 
-    def _poly_sign(self, q: Fraction) -> int:
-        acc = Fraction(0)
-        for c in reversed(self.minpoly):
-            acc = acc * q + c
+    def _poly_sign(self, num: int, den: int) -> int:
+        """Sign of the minimal polynomial at num/den for den > 0, taken in
+        the integers as the sign of sum(c_i * num^i * den^(degree-i))."""
+        poly = self.minpoly
+        acc, t = poly[-1], 1
+        for c in reversed(poly[:-1]):
+            t *= den
+            acc = acc * num + c * t
         return (acc > 0) - (acc < 0)
 
     def _reduction_rows(self):
@@ -184,101 +168,79 @@ class NumberFieldContext:
         return a ** (d - 1), tuple(rows)
 
     def enclosure(self) -> tuple[Fraction, Fraction]:
-        return self._lo, self._hi
-
-    def _bisect(self, lo: Fraction, hi: Fraction, max_width: Fraction) -> tuple[Fraction, Fraction]:
-        """Bisect the root enclosure [lo, hi] until it is at most `max_width` wide."""
-        s_hi = self._poly_sign(hi)
-        if s_hi == 0:  # rational root sitting on the endpoint
-            s_hi = 1
-        while hi - lo > max_width:
-            mid = (lo + hi) / 2
-            s_mid = self._poly_sign(mid)
-            if s_mid == 0:
-                # mid is the root itself; pin an interval around it
-                eps = max_width / 4
-                return mid - eps, mid + eps
-            if s_mid == s_hi:
-                hi = mid
-            else:
-                lo = mid
-        return lo, hi
-
-    def refine(self, max_width: Fraction) -> tuple[Fraction, Fraction]:
-        """Shrink the shared root enclosure below `max_width` by bisection.
-
-        The enclosure only ever narrows, so the result is as fine as the
-        finest request made before in the process: use it where any
-        enclosure will do (sign certification, floats), and `bracket` where
-        the endpoints themselves are scheduled from or printed."""
-        with self._lock:
-            self._lo, self._hi = self._bisect(self._lo, self._hi, max_width)
-            return self._lo, self._hi
+        """The isolating interval.  The package no longer reads it; the name
+        stays because the benchmark's tracer (`bench/tracer.py`
+        `state_bits`) reports its denominator bits."""
+        return self.isolating
 
     def bracket(self, max_width: Fraction) -> tuple[Fraction, Fraction]:
         """Root bracket of width at most `max_width`, bisected from the
         isolating interval: a pure function of the minimal polynomial, the
-        isolating interval and `max_width`, whatever ran before.  Memoized
-        per width."""
+        isolating interval and `max_width`.  Memoized per width."""
         got = self._brackets.get(max_width)
-        if got is None:
-            got = self._brackets[max_width] = self._bisect(*self.isolating, max_width)
+        if got is not None:
+            return got
+        lo, hi = self.isolating
+        # the bracket is [p, q] / den; each halving doubles den
+        den = lo.denominator * hi.denominator
+        p, q = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+        w = Fraction(max_width)
+        s_hi = self._poly_sign(q, den) or 1  # 0: a rational root on the endpoint
+        while (q - p) * w.denominator > w.numerator * den:
+            mid, den = p + q, 2 * den
+            s_mid = self._poly_sign(mid, den)
+            if s_mid == 0:
+                # mid is the root itself; pin an interval around it
+                root, eps = Fraction(mid, den), w / 4
+                got = self._brackets[max_width] = (root - eps, root + eps)
+                return got
+            p, q = (2 * p, mid) if s_mid == s_hi else (mid, 2 * q)
+        got = self._brackets[max_width] = (Fraction(p, den), Fraction(q, den))
         return got
+
+    def refine(self, max_width: Fraction) -> tuple[Fraction, Fraction]:
+        """The same as `bracket`.  The name stays because the benchmark's
+        tracer (`bench/tracer.py`) wraps `NumberFieldContext.refine` by name."""
+        return self.bracket(max_width)
 
     def filter_bounds(self, v: Sequence[int], bits: int = FILTER_BITS) -> tuple[int, int]:
         """Integers (lo, hi) with lo <= 2^bits * sum(v[j] * root^j) <= hi for
-        an integer coordinate vector v: the interval filter in front of
-        `sign_of_coeffs`.  Two values whose bounds do not overlap compare
-        without a certified sign; the bounds are about sum(|v[j]|) units wide, so
-        they separate everything but near-ties while the coordinates stay
-        small.  The power bounds come from `bracket`, so the answer does not
-        depend on what ran before in the process."""
-        lows, highs = self._power_bounds(bits)
-        lo = hi = 0
-        for x, pl, ph in zip(v, lows, highs):
-            if x < 0:
-                pl, ph = ph, pl
-            lo += x * pl
-            hi += x * ph
-        return lo, hi
-
-    def _power_bounds(self, bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(lows, highs): floor and ceiling of 2^bits * lo^j and 2^bits * hi^j
-        for j < degree, over the root bracket of width 2^-(bits+16); each
-        pair is at most a few units apart.  Memoized per precision."""
-        got = self._powers.get(bits)
-        if got is None:
+        an integer coordinate vector v: the one interval evaluator.  v[0] is
+        taken exactly and root^j, j >= 1, between floor(2^bits * lo^j) and
+        ceil(2^bits * hi^j) over the root bracket [lo, hi] of width
+        2^-(bits+16), memoized per precision.  The bounds are about
+        sum(|v[j]|) units wide, so they separate all but near-ties while the
+        coordinates stay small."""
+        powers = self._powers.get(bits)
+        if powers is None:
             lo, hi = self.bracket(Fraction(1, 1 << (bits + 16)))
             scale = 1 << bits
-            lows = tuple(floor(scale * lo**j) for j in range(self.degree))
-            highs = tuple(ceil(scale * hi**j) for j in range(self.degree))
-            got = self._powers[bits] = (lows, highs)
-        return got
-
-    def _dyadic_enclosure(self, bits: int) -> tuple[int, int, int]:
-        """Integers (P, Q, bits) with P/2^bits <= root <= Q/2^bits, Q - P <= 3."""
-        cached = self._dyadic
-        if cached is not None and cached[2] >= bits:
-            return cached
-        lo, hi = self.refine(Fraction(1, 1 << bits))
-        scale = 1 << bits
-        p = (lo.numerator * scale) // lo.denominator
-        q = -((-hi.numerator * scale) // hi.denominator)
-        self._dyadic = (p, q, bits)
-        return self._dyadic
+            powers = self._powers[bits] = tuple(
+                (j, floor(scale * lo**j), ceil(scale * hi**j)) for j in range(1, self.degree)
+            )
+        lo = hi = v[0] << bits
+        for j, pl, ph in powers:
+            x = v[j]
+            if x < 0:
+                lo += x * ph
+                hi += x * pl
+            else:
+                lo += x * pl
+                hi += x * ph
+        return lo, hi
 
     def sign_of_coeffs(self, coeffs) -> int:
-        """Certified sign of sum(coeffs[i] * root^i), for `degree` coefficients,
-        using integer interval evaluation over a dyadic enclosure of the root;
+        """Certified sign of sum(coeffs[i] * root^i), for `degree` coefficients;
         exact zero only for the zero coefficient vector.  All-int input is
         evaluated as given; Fraction coefficients are first scaled to integers.
 
-        The precision doubles until the sign is certified.  For a nonzero
-        integer vector P and an irreducible minimal polynomial f of degree d,
-        Res(f, P) is a nonzero integer and Landau's M(f) <= |f|_2, so
-        |P(root)| >= (|P|_1 * |f|_2)^-(d-1).  An enclosure of P(root) that
-        straddles 0 and is narrower than that bound therefore proves f
-        reducible, and raises MalformedContextError."""
+        The sign is read from `filter_bounds` at FILTER_BITS fractional bits,
+        then at twice as many, and so on, until the bounds exclude 0.  For a
+        nonzero integer vector P and an irreducible minimal polynomial f of
+        degree d, Res(f, P) is a nonzero integer and Landau's M(f) <= |f|_2,
+        so |P(root)| >= (|P|_1 * |f|_2)^-(d-1).  Bounds that straddle 0 and
+        are narrower than that bound therefore prove f reducible, and raise
+        MalformedContextError."""
         ints = coeffs
         for c in coeffs:
             if type(c) is not int:
@@ -288,28 +250,21 @@ class NumberFieldContext:
         if not any(ints[1:]):
             c = ints[0]
             return (c > 0) - (c < 0)
-        d = len(ints)
-        bits = 64
+        bits = FILTER_BITS
+        norm = 0
         while True:
-            p, q, k = self._dyadic_enclosure(bits)
-            acc_lo = acc_hi = ints[d - 1]
-            shift = 0
-            for j in range(d - 2, -1, -1):
-                shift += k
-                new_lo = acc_lo * (p if acc_lo >= 0 else q)
-                new_hi = acc_hi * (q if acc_hi >= 0 else p)
-                scaled = ints[j] << shift
-                acc_lo = new_lo + scaled
-                acc_hi = new_hi + scaled
-            if acc_lo > 0:
+            lo, hi = self.filter_bounds(ints, bits)
+            if lo > 0:
                 return 1
-            if acc_hi < 0:
+            if hi < 0:
                 return -1
-            # width 2^-shift * (acc_hi - acc_lo) below the bound, squared to
-            # stay in the integers: |f|_2^2 is the sum of squared coefficients
-            l1 = sum(abs(c) for c in ints)
-            norm = (l1 * l1 * sum(c * c for c in self.minpoly)) ** (self.degree - 1)
-            if (acc_hi - acc_lo) ** 2 * norm < 1 << (2 * shift):
+            if not norm:
+                l1 = sum(abs(c) for c in ints)
+                norm = (l1 * l1 * sum(c * c for c in self.minpoly)) ** (self.degree - 1)
+            # width 2^-bits * w below the bound, squared to stay in the
+            # integers; the bit lengths rule most levels out without the product
+            w = hi - lo
+            if 2 * w.bit_length() + norm.bit_length() - 3 < 2 * bits and w * w * norm < 1 << (2 * bits):
                 raise MalformedContextError(
                     "a nonzero element has value 0 at the root, so the minimal polynomial is reducible"
                 )
@@ -359,9 +314,6 @@ def _zdiv_beta(poly: Sequence[int], v: list[int]) -> list[int]:
     a = poly[-1]
     t = -a * v[0] // poly[0]
     return [x + c * t // a for x, c in zip(v[1:], poly[1:])] + [t]
-
-
-_SIGN_MAX_REFINEMENTS = 4000
 
 
 class NumberFieldElement:
@@ -535,15 +487,19 @@ class NumberFieldElement:
         return self.ctx.sign_of_coeffs(self.num)
 
     def enclosure(self, max_width: Fraction) -> tuple[Fraction, Fraction]:
-        """Rational enclosure of the real value, of width at most `max_width`."""
-        ctx = self.ctx
-        lo, hi = ctx.enclosure()
-        for _ in range(_SIGN_MAX_REFINEMENTS):
-            elo, ehi = _interval_eval(self.coeffs, lo, hi)
-            if ehi - elo <= max_width:
-                return elo, ehi
-            lo, hi = ctx.refine((hi - lo) / 4)
-        raise MalformedContextError("enclosure refinement did not converge")
+        """Rational enclosure of the real value, of width at most `max_width`:
+        `filter_bounds` of `num` over den * 2^bits, bits doubling from
+        FILTER_BITS until narrow enough.  A negative width is a DomainError,
+        and so is 0 except on a rational element, whose enclosure is [v, v]."""
+        if max_width < 0 or (max_width == 0 and any(self.num[1:])):
+            raise DomainError(f"enclosure width must be positive, got {max_width}")
+        bits = FILTER_BITS
+        while True:
+            lo, hi = self.ctx.filter_bounds(self.num, bits)
+            scale = self.den << bits
+            if hi - lo <= max_width * scale:
+                return Fraction(lo, scale), Fraction(hi, scale)
+            bits *= 2
 
     def __float__(self):
         lo, hi = self.enclosure(Fraction(1, 1 << 80))

@@ -16,6 +16,7 @@ certified sign evaluator, so they serve as differential oracles for
 """
 
 import functools
+import math
 from fractions import Fraction
 
 import betaforge as bf
@@ -131,10 +132,9 @@ class FractionElement:
     representation the package's NumberFieldElement had before it moved to
     integer coordinates over one denominator.
 
-    Signs come from the private bisection above, not from the package.
-    `enclosure` repeats the package's refinement schedule on the context it
-    is given, so on a fresh context it returns what the package returns on
-    another fresh copy of that context.
+    Signs and enclosures come from the private bisection above, not from
+    the package.  `enclosure` repeats the package's precision schedule, so
+    it returns the package's endpoints exactly.
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -216,13 +216,24 @@ class FractionElement:
             bits *= 2
 
     def enclosure(self, max_width: Fraction):
-        ctx = self.ctx
-        lo, hi = ctx.enclosure()
+        """The package's schedule on the private bisection: with the
+        coefficients as integers v over one denominator den, floor and
+        ceiling power sums over the root bracket of width 2^-(bits+16) bound
+        2^bits * den * value, for bits = 64, 128, ... until narrow enough."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        v = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        bits = 64
         while True:
-            elo, ehi = interval_eval(self.coeffs, lo, hi)
-            if ehi - elo <= max_width:
-                return elo, ehi
-            lo, hi = ctx.refine((hi - lo) / 4)
+            blo, bhi = _cached_bracket(tuple(self.ctx.minpoly), *self.ctx.isolating, bits + 16)
+            scale = 1 << bits
+            lo = hi = v[0] * scale
+            for j, x in enumerate(v[1:], 1):
+                pl, ph = math.floor(scale * blo**j), math.ceil(scale * bhi**j)
+                lo += x * (pl if x >= 0 else ph)
+                hi += x * (ph if x >= 0 else pl)
+            if Fraction(hi - lo, den * scale) <= max_width:
+                return Fraction(lo, den * scale), Fraction(hi, den * scale)
+            bits *= 2
 
     def __eq__(self, other):
         return self.coeffs == self._coerce(other).coeffs

@@ -165,6 +165,16 @@ class TestSubcommands:
             assert status == 1 and out == ""
             assert err.startswith("error:") and "base 2" in err
 
+    def test_bounds_rational_schedule_length(self):
+        """--n is the last index of the rational schedule: 0 prints sigma(0)
+        alone, and a negative --n is a domain error."""
+        for extra in ([], ["--json"]):
+            status, out, err = run_command(["bounds", "--beta", "3/2", "--n", "0"] + extra)
+            assert status == 0 and err == "" and '"sigma":[0]}' in out
+            status, out, err = run_command(["bounds", "--beta", "3/2", "--n", "-3"] + extra)
+            assert status == 1 and out == ""
+            assert err.startswith("error:") and "--n must be nonnegative" in err
+
     def test_canonicalize_non_pisot_sweep_cap(self):
         status, out, err = run_command(["canonicalize", "--beta", "cbrt2", "--bits", "001011110010110110010000101001"])
         assert status == 1 and out == ""

@@ -96,7 +96,7 @@ def test_equal_elements_are_equal_and_hash_alike(name):
 def test_enclosure_matches_fraction_oracle(name):
     rng = random.Random(name + "enclosure")
     for _ in range(10):
-        ctx_a, ctx_b = context(name), context(name)  # the same refinement history
+        ctx_a, ctx_b = context(name), context(name)
         coeffs = random_coeffs(rng, ctx_a.degree)
         a, oa = NumberFieldElement(ctx_a, coeffs), FractionElement(ctx_b, coeffs)
         for bits in (1, 8, 30, 90, 12):
@@ -105,6 +105,57 @@ def test_enclosure_matches_fraction_oracle(name):
             assert got == oa.enclosure(width)
             assert got[1] - got[0] <= width
         assert got[0] - width <= Fraction(float(a)) <= got[1] + width
+
+
+def test_enclosure_width_must_be_positive():
+    """A width of 0 or below is a DomainError at once, except width 0 on a
+    rational element, whose enclosure is its exact value."""
+    ctx = context("golden")
+    g = NumberFieldElement.generator(ctx)
+    q = NumberFieldElement.from_rational(ctx, Fraction(7, 3))
+    t0 = time.perf_counter()
+    for element, width in ((g, 0), (g, Fraction(0)), (g, -1), (g, Fraction(-1, 3)), (q, -1), (q, Fraction(-1, 3))):
+        with pytest.raises(bf.DomainError, match="width"):
+            element.enclosure(width)
+    assert time.perf_counter() - t0 < 1
+    assert q.enclosure(0) == q.enclosure(Fraction(0)) == (Fraction(7, 3), Fraction(7, 3))
+    assert g.enclosure(Fraction(1, 4)) == NumberFieldElement.generator(context("golden")).enclosure(Fraction(1, 4))
+
+
+ENCLOSURE_WIDTHS = (Fraction(1, 4), Fraction(1, 1 << 30), Fraction(1, 1 << 90))
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_answers_do_not_depend_on_earlier_work(name):
+    """Enclosures, floats, floors, binary logarithms and signs on a fresh
+    context equal the same calls after a fine root bracket, a 4,096-digit
+    adc run and a 2^-400 enclosure on that context."""
+    ctx = context(name)
+    rng = random.Random(name + "history")
+    g = NumberFieldElement.generator(ctx)
+    elements = [g, g - 1, 1 / g, NumberFieldElement.from_rational(ctx, Fraction(7, 3))]
+    elements += [e for e in (NumberFieldElement(ctx, random_coeffs(rng, ctx.degree)) for _ in range(8)) if not e.is_zero()]
+
+    def answers():
+        return [
+            (
+                [e.enclosure(w) for w in ENCLOSURE_WIDTHS],
+                float(e),
+                bf.exact_floor(e),
+                bf.floor_log2(e if e.sign() > 0 else -e),
+                e.sign(),
+            )
+            for e in elements
+        ]
+
+    before = answers()
+    spec = bf.AlgebraicBeta(ctx)
+    ctx.refine(Fraction(1, 1 << 256))
+    s_lo, s_hi = bf.switch_region(spec)
+    tosses = bf.BitStream.from_bits("".join(rng.choice("01") for _ in range(4096)))
+    bf.adc_run(spec, bf.Quantizer((s_lo + s_hi) / 2, (s_hi - s_lo) / 4), Fraction(2, 5), 4096, tosses)
+    (g - 1).enclosure(Fraction(1, 1 << 400))
+    assert answers() == before
 
 
 def test_signs_of_tiny_elements():
