@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from operator import add
 from typing import Optional, Sequence
 
 from .numerics import (
@@ -25,14 +26,13 @@ from .numerics import (
     ExactReal,
     MalformedContextError,
     NumberFieldContext,
-    NumberFieldElement,
     SizeGuardError,
     beta_value,
-    exact_cmp,
     _zdiv_beta,
+    _zelement,
     _zmul_beta,
 )
-from .expand import delta_finite, validate_bits
+from .expand import validate_bits, _inv
 
 __all__ = [
     "MinPolyData",
@@ -172,20 +172,18 @@ def is_generalized_garsia(data: MinPolyData) -> bool:
     return data.leading == 1 and abs(data.constant) >= 2
 
 
-def _value_key(v: ExactReal):
-    return (v.num, v.den) if isinstance(v, NumberFieldElement) else v
-
-
 def _weight_walk(beta: BetaSpec, words: Sequence[str]):
     """The integer weight walk behind every equal-length word test.
 
     Values are scaled by a^(n-1) beta^n, where a leads the ascending integer
     polynomial of the base (q*x - p for a rational base p/q, else the minimal
     polynomial), so every digit weight a^(n-1) beta^k (k < n) is an integer
-    coordinate vector.  Returns (sign, deficits, levels): `sign` certifies
-    the sign of such a vector, deficits[j] sums the weights under the ones
-    of words[j] (its scaled value), and `levels` yields (weight_i, window_i)
-    for i = 1..n, the weight of digit i and the sum of the weights after it.
+    coordinate vector.  Returns (sign, deficits, levels, scale): `sign`
+    certifies the sign of such a vector, deficits[j] sums the weights under
+    the ones of words[j] (its scaled value), `levels` yields (weight_i,
+    window_i) for i = 1..n, the weight of digit i and the sum of the weights
+    after it, and `scale` is the exact factor a^(n-1) beta^n itself (for
+    n >= 1), in the type of the base value.
     """
     b = beta_value(beta)
     if isinstance(b, Fraction):
@@ -214,7 +212,7 @@ def _weight_walk(beta: BetaSpec, words: Sequence[str]):
             window = [u + w for u, w in zip(window, weight)]
         for j, word in enumerate(words):
             if word[n - 1 - k] == "1":
-                deficits[j] = [u + w for u, w in zip(deficits[j], weight)]
+                deficits[j] = list(map(add, deficits[j], weight))
 
     def levels(weight, window):
         for i in range(1, n + 1):
@@ -223,7 +221,15 @@ def _weight_walk(beta: BetaSpec, words: Sequence[str]):
             window = [u - w for u, w in zip(window, weight)]
             yield weight, window
 
-    return sign, deficits, levels(weight, window)
+    # weight is a^(n-1) beta^(n-1) now, so a*beta*weight is a*scale
+    scale = _exact(b, _zmul_beta(poly, weight), a)
+    return sign, deficits, levels(weight, window), scale
+
+
+def _exact(b: ExactReal, v: Sequence[int], den: int = 1) -> ExactReal:
+    """The exact value of integer coordinates v over den, in the type of the
+    base value b: a Fraction on a rational base, else a field element."""
+    return Fraction(v[0], den) if isinstance(b, Fraction) else _zelement(b.ctx, den, v)
 
 
 def _children(sign, level, weight, window, last):
@@ -248,7 +254,7 @@ def equiv(beta: BetaSpec, x: str, y: str) -> bool:
     validate_bits(y)
     if len(x) != len(y):
         raise DomainError(f"length mismatch: {len(x)} vs {len(y)}")
-    sign, (dx, dy), _ = _weight_walk(beta, (x, y))
+    sign, (dx, dy), _, _ = _weight_walk(beta, (x, y))
     return sign([u - v for u, v in zip(dx, dy)]) == 0
 
 
@@ -267,7 +273,7 @@ def equiv_class(beta: BetaSpec, x: str) -> list[str]:
     n = len(x)
     if n == 0:
         return [""]
-    sign, (deficit,), levels = _weight_walk(beta, (x,))
+    sign, (deficit,), levels, _ = _weight_walk(beta, (x,))
     levels = list(levels)
     out = []
     stack = [(0, [(tuple(deficit), "")])]
@@ -309,18 +315,28 @@ class ClassPartition:
 
 
 def partition_words(beta: BetaSpec, words: Sequence[str], values: Optional[Sequence[ExactReal]] = None) -> ClassPartition:
-    """Group equal-length words into exact value classes, sorted by value."""
+    """Group equal-length words into exact value classes, sorted by value.
+
+    Equal values have equal scaled vectors in the weight walk, so the words
+    are grouped by vector and the classes sorted by the certified sign of
+    the difference of their vectors.  Each class's value is rebuilt once
+    from its vector, or read from `values`, the exact values of `words` in
+    order, when the caller has them."""
     words = list(words)
+    if values is not None and len(values) != len(words):
+        raise DomainError(f"{len(values)} values given for {len(words)} words")
     if not words:
         return ClassPartition(0, ())
     n = len(words[0])
-    if any(len(w) != n for w in words):
+    if any(len(validate_bits(w)) != n for w in words):
         raise DomainError("all words in a partition must share one length")
-    if values is None:
-        values = [delta_finite(beta, w) for w in words]
+    sign, vectors, _, scale = _weight_walk(beta, words)
     groups: dict = {}
-    for w, v in zip(words, values):
-        groups.setdefault(_value_key(v), (v, []))[1].append(w)
-    classes = [(v, tuple(sorted(ws))) for v, ws in groups.values()]
-    classes.sort(key=cmp_to_key(lambda a, b: exact_cmp(a[0], b[0])))
-    return ClassPartition(n, tuple(ValueClass(v, ws) for v, ws in classes))
+    for j, v in enumerate(vectors):
+        groups.setdefault(tuple(v), []).append(j)
+    keys = sorted(groups, key=cmp_to_key(lambda u, v: sign([x - y for x, y in zip(u, v)])))
+    if values is None:
+        b, unit = beta_value(beta), _inv(scale)
+        values = {groups[k][0]: _exact(b, k) * unit for k in keys}
+    classes = (ValueClass(values[groups[k][0]], tuple(sorted(words[j] for j in groups[k]))) for k in keys)
+    return ClassPartition(n, tuple(classes))

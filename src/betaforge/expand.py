@@ -30,6 +30,7 @@ from .numerics import (
     DomainError,
     ExactReal,
     FILTER_BITS,
+    SizeGuardError,
     beta_value,
     exact_cmp,
     exact_float,
@@ -165,6 +166,12 @@ def _side(sign, lo, hi) -> int:
     return 1 if sign(hi) > 0 else 0
 
 
+# longest orbit, in digits, of every generator.  At this length, from
+# s = 3/4 on 2 vCPUs (Python 3.11), golden and tribonacci took 0.03-0.13 s
+# and 3/2 0.24-0.43 s; sqrt2, whose coordinates grow without bound, took
+# 4.1 s greedy or lazy (1.7 s at 10^4 digits, 9.8 s at 2*10^4)
+ORBIT_CAP = 1 << 14
+
 # the orbit stops filtering once a residual's filter bounds are wider than
 # 2^_FILTER_SLACK times its denominator: 2^-(FILTER_BITS - _FILTER_SLACK) in value
 _FILTER_SLACK = FILTER_BITS // 2
@@ -188,9 +195,12 @@ def _orbit(b, r, n, rule, cuts=()):
     the coordinates grow without bound; once a near-tie finds the residual's
     bounds wider than 2^-(FILTER_BITS - _FILTER_SLACK) in value, the filter
     can no longer pay for itself and every later sign is taken exactly.
+    More than ORBIT_CAP steps raise SizeGuardError before the first one.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
+    if n > ORBIT_CAP:
+        raise SizeGuardError(f"{n} digits exceed the orbit cap ORBIT_CAP = {ORBIT_CAP}")
     out = []
     if isinstance(b, Fraction):
 

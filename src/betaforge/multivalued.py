@@ -16,14 +16,20 @@ evaluates a rational or field window endpoint as it would a base.
 
 The exact prefix set of s is a window too: the length-n words with values in
 [s - beta^-n/(beta-1), s].  f_2_to_beta, g_beta_window and enumerate_expansions
-share one pruned walk, `_dfs_window`, whose word values g_beta_window
-partitions directly; nu_measure counts whole subtrees in a walk of its own.
+share one pruned walk, `_dfs_window`, in the integer frame of the level
+sweep (`algebraic._weight_walk`): a prefix's scaled value is one integer
+coordinate vector, the window ends are scaled into that frame once per
+call, and each child costs one vector update and one certified sign.
+g_beta_window hands the walk's words to `partition_words`, which groups
+them by the same vectors.  nu_measure counts whole subtrees in a walk of its
+own, on exact values (`_window_table`, one `exact_cmp` per bound test).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .numerics import (
     BetaForgeError,
@@ -37,9 +43,10 @@ from .numerics import (
     exact_cmp,
     exact_floor,
     _least_power,
+    _zcoords,
 )
 from .expand import delta_finite, tail_bound, validate_bits, _check_in_domain, _delta2, _inv, _tail, _word_value
-from .algebraic import ClassPartition, partition_words
+from .algebraic import ClassPartition, partition_words, _weight_walk
 
 __all__ = [
     "CandidateSet",
@@ -144,29 +151,40 @@ def _window_table(b: ExactReal, length: int):
 
 def _dfs_window(beta: BetaSpec, length: int, lo_w: ExactReal, hi_w: ExactReal, kind: str):
     """The words of the given length whose exact value lies in [lo_w, hi_w],
-    in lexicographic order, and their values.  A prefix is pushed only when
-    its reachable interval [v, v + remaining[i]] meets the window, at one
-    comparison per child; the window must meet [0, remaining[0]], as every
+    in lexicographic order.
+
+    The walk runs in the integer frame of `algebraic._weight_walk`: values
+    scaled by a^(n-1) beta^n.  The window ends are scaled into it once per
+    call, to L and H over a common denominator D.  A prefix of i digits and
+    scaled value v carries e = D*(v - H) as one integer coordinate vector,
+    and its child is pushed only when the child's reachable interval meets
+    the window: digit 1 when e + D*weight_(i+1) <= 0, digit 0 when
+    e + D*(window_(i+1) + H - L) >= 0.  So each child costs one vector
+    update and one certified sign, `ctx.sign_of_coeffs` (an int comparison
+    on a rational base).  The window must meet [0, window_0], as every
     caller's does for a base in (1, 2].  More than SET_GUARD words raise
     SizeGuardError naming the `kind` of enumeration."""
-    b = beta_value(beta)
-    inv_pows, remaining = _window_table(b, length)
-    words, values = [], []
-    stack = [(0, b - b, "")]
+    # the all-zero word fixes the length; its deficit is the zero vector
+    sign, (zero,), levels, scale = _weight_walk(beta, ("0" * length,))
+    den, (lo, hi) = _zcoords(len(zero), (lo_w * scale, hi_w * scale))
+    span = [h - l for h, l in zip(hi, lo)]
+    steps = [([den * w for w in weight], [den * u + s for u, s in zip(window, span)]) for weight, window in levels]
+    words = []
+    stack = [(0, [-h for h in hi], "")]
     while stack:
-        i, v, word = stack.pop()
+        i, e, word = stack.pop()
         if i == length:
             words.append(word)
-            values.append(v)
             if len(words) > SET_GUARD:
                 raise SizeGuardError(f"{kind} enumeration exceeded guard {SET_GUARD}")
             continue
-        v1 = v + inv_pows[i + 1]
-        if exact_cmp(v1, hi_w) <= 0:
-            stack.append((i + 1, v1, word + "1"))
-        if exact_cmp(v + remaining[i + 1], lo_w) >= 0:
-            stack.append((i + 1, v, word + "0"))
-    return words, values
+        weight, reach = steps[i]
+        e1 = list(map(add, e, weight))
+        if sign(e1) <= 0:
+            stack.append((i + 1, e1, word + "1"))
+        if sign(list(map(add, e, reach))) >= 0:
+            stack.append((i + 1, e, word + "0"))
+    return words
 
 
 def f_2_to_beta(beta: BetaSpec, x: str) -> CandidateSet:
@@ -182,7 +200,7 @@ def f_2_to_beta(beta: BetaSpec, x: str) -> CandidateSet:
     v = _delta2(x)
     pad = Fraction(1, 1 << n)
     window = Interval(v - pad, v + pad)
-    words, _ = _dfs_window(beta, m, window.lo - pad, window.hi + pad, "window")
+    words = _dfs_window(beta, m, window.lo - pad, window.hi + pad, "window")
     return CandidateSet(m, tuple(words), window, n)
 
 
@@ -197,7 +215,7 @@ def g_beta_window(beta: BetaSpec, x: str) -> ClassPartition:
     v = delta_finite(beta, x)
     tail = tail_bound(beta, n)
     pad = Fraction(1, 1 << n)
-    return partition_words(beta, *_dfs_window(beta, n, v - tail - pad, v + tail + pad, "window"))
+    return partition_words(beta, _dfs_window(beta, n, v - tail - pad, v + tail + pad, "window"))
 
 
 def f_1_to_all(beta: BetaSpec, x: str) -> list[tuple[str, ...]]:
@@ -228,8 +246,7 @@ def enumerate_expansions(beta: BetaSpec, s: ExactReal, n: int):
     if n < 0:
         raise DomainError("n must be nonnegative")
     _check_in_domain(beta_value(beta), s)
-    words, _ = _dfs_window(beta, n, s - tail_bound(beta, n), s, "expansion")
-    return words
+    return _dfs_window(beta, n, s - tail_bound(beta, n), s, "expansion")
 
 
 def nu_measure(beta: BetaSpec, m: int, interval: Interval) -> Fraction:

@@ -176,10 +176,13 @@ class NumberFieldContext:
     def bracket(self, max_width: Fraction) -> tuple[Fraction, Fraction]:
         """Root bracket of width at most `max_width`, bisected from the
         isolating interval: a pure function of the minimal polynomial, the
-        isolating interval and `max_width`.  Memoized per width."""
+        isolating interval and `max_width`.  Memoized per width.  A width of
+        0 or below is a DomainError at once."""
         got = self._brackets.get(max_width)
         if got is not None:
             return got
+        if max_width <= 0:
+            raise DomainError(f"bracket width must be positive, got {max_width}")
         lo, hi = self.isolating
         # the bracket is [p, q] / den; each halving doubles den
         den = lo.denominator * hi.denominator

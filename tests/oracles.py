@@ -6,13 +6,14 @@ brackets, and `FractionElement`, field arithmetic on tuples of Fraction
 coefficients; those results can be frozen into assertions against the
 package.
 
-The last section keeps the element-based shift-map orbit and the table-based
-level sweep, with its `scaled_power_table`, that integer coordinates
-replaced.  They run on the package's
-exact elements (Fractions and `NumberFieldElement`, compared with
-`exact_cmp`) and share with it only that element arithmetic and the
+The last section keeps the element-based shift-map orbit, the table-based
+level sweep, with its `scaled_power_table`, and the window walk on exact
+values, `dfs_window_exact`, that integer coordinates replaced.  They run on
+the package's exact elements (Fractions and `NumberFieldElement`, compared
+with `exact_cmp`) and share with it only that element arithmetic and the
 certified sign evaluator, so they serve as differential oracles for
-`expand._orbit`, its digit rules and `canonical.m_beta_fast`.
+`expand._orbit`, its digit rules, `canonical.m_beta_fast` and
+`multivalued._dfs_window`.
 """
 
 import functools
@@ -280,6 +281,54 @@ def zint_interval(coords, lo: Fraction, hi: Fraction):
     return alo, ahi
 
 
+def zint_sign(minpoly, iso, coords) -> int:
+    """Certified sign of sum(coords[j] * root^j) for integer or Fraction
+    coordinates: interval Horner over bisection brackets of doubling
+    precision, and 0 only for the zero vector."""
+    if not any(coords):
+        return 0
+    bits = 64
+    while True:
+        lo, hi = zint_interval(list(coords), *_cached_bracket(tuple(minpoly), Fraction(iso[0]), Fraction(iso[1]), bits))
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+        bits *= 2
+
+
+def nu_counts_oracle(minpoly, iso, m: int, intervals):
+    """Brute force over a monic field: for each (lo, hi) in `intervals`, the
+    number of the 2^m words of length m whose value lies in [lo, hi], each
+    endpoint a Fraction or the rational power-basis coordinates of a field
+    element.  A word's scaled value V (`zint_scaled_value`) and each scaled
+    endpoint are enclosed once over a 64-bit root bracket; where two
+    enclosures overlap, the certified sign of their difference decides."""
+    d = len(minpoly) - 1
+    bracket = _cached_bracket(tuple(minpoly), Fraction(iso[0]), Fraction(iso[1]), 64)
+
+    def scaled(e):
+        coords = list(e) if isinstance(e, (tuple, list)) else [Fraction(e)] + [0] * (d - 1)
+        for _ in range(m):
+            coords = zint_mul_by_root(coords, minpoly)
+        return coords, zint_interval(coords, *bracket)
+
+    ends = [(scaled(lo), scaled(hi)) for lo, hi in intervals]
+    counts = [0] * len(ends)
+    for w in all_words(m):
+        v = zint_scaled_value(minpoly, w)
+        vlo, vhi = zint_interval(v, *bracket)
+
+        def cmp(end):
+            coords, (elo, ehi) = end
+            if vlo > ehi or vhi < elo:
+                return 1 if vlo > ehi else -1
+            return zint_sign(minpoly, iso, [x - y for x, y in zip(v, coords)])
+
+        for k, (lo_end, hi_end) in enumerate(ends):
+            if cmp(lo_end) >= 0 and cmp(hi_end) <= 0:
+                counts[k] += 1
+    return counts
+
+
 def group_by_value(minpoly, n: int):
     """All words of length n grouped by exact scaled value (monic field)."""
     groups = {}
@@ -525,3 +574,32 @@ def sweep_elements(beta, x):
         level = list(fresh.values())
         counts.append(len(level))
     return level[0][1], tuple(counts), steps
+
+
+def dfs_window_exact(beta, length, lo_w, hi_w):
+    """(words, values): the words of the given length whose value lies in
+    [lo_w, hi_w], in lexicographic order, from a pruned walk on exact values.
+    A prefix of value v at place i is pushed when [v, v + remaining[i]]
+    meets the window, remaining[i] the most the later digits can add, at one
+    `exact_cmp` per child; the window must meet [0, remaining[0]]."""
+    b = bf.beta_value(beta)
+    inv_b = 1 / b
+    inv_pows = [inv_b - inv_b + 1]
+    for _ in range(length):
+        inv_pows.append(inv_pows[-1] * inv_b)
+    tail_factor = 1 / (b - 1)
+    remaining = [(inv_pows[i] - inv_pows[length]) * tail_factor for i in range(length + 1)]
+    words, values = [], []
+    stack = [(0, b - b, "")]
+    while stack:
+        i, v, word = stack.pop()
+        if i == length:
+            words.append(word)
+            values.append(v)
+            continue
+        v1 = v + inv_pows[i + 1]
+        if bf.exact_cmp(v1, hi_w) <= 0:
+            stack.append((i + 1, v1, word + "1"))
+        if bf.exact_cmp(v + remaining[i + 1], lo_w) >= 0:
+            stack.append((i + 1, v, word + "0"))
+    return words, values

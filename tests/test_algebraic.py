@@ -215,6 +215,17 @@ class TestPartition:
         k = part.index_of("1100")
         assert "1011" in part.classes[k - 1].members
 
+    def test_values_must_match_words_in_length(self):
+        # zip would drop the extra words without a word
+        b = bf.RationalBeta(Fraction(3, 2))
+        for values in ([Fraction(4, 9)], [Fraction(4, 9)] * 4, []):
+            with pytest.raises(bf.DomainError, match="values given for 3 words"):
+                bf.partition_words(b, ["01", "10", "11"], values)
+        part = bf.partition_words(b, ["01", "10", "11"], [Fraction(4, 9), Fraction(2, 3), Fraction(10, 9)])
+        assert [(c.value, c.members) for c in part.classes] == [
+            (Fraction(4, 9), ("01",)), (Fraction(2, 3), ("10",)), (Fraction(10, 9), ("11",))
+        ]
+
     def test_presets_available(self):
         names = sorted(bf.builtin_presets())
         assert names == ["cbrt2", "golden", "sqrt2", "tribonacci"]

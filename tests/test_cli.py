@@ -469,6 +469,11 @@ def test_python_dash_m_entry_point():
         (["bounds", "--beta", "golden", "--n", "800"], "error: number too long to print: more than {limit} digits\n"),
         (["convert", "--beta", "3/2", "--binary", "0101", "--chunks", "30000"],
          "error: insufficient binary bits: need at least 35099\n"),
+        # an orbit of more digits than the shared cap, before any is made
+        (["random", "--beta", "golden", "--s", "1", "--n", "3000000", "--tosses", "seed:1"],
+         "error: 3000000 digits exceed the orbit cap ORBIT_CAP = 16384\n"),
+        (["expand", "--beta", "3/2", "--s", "3/4", "--mode", "greedy", "--n", "80000"],
+         "error: 80000 digits exceed the orbit cap ORBIT_CAP = 16384\n"),
     ],
 )
 def test_oversized_inputs_end_in_one_error_line(argv, stderr):

@@ -122,6 +122,21 @@ def test_enclosure_width_must_be_positive():
     assert g.enclosure(Fraction(1, 4)) == NumberFieldElement.generator(context("golden")).enclosure(Fraction(1, 4))
 
 
+
+def test_bracket_width_must_be_positive():
+    """A root bracket of width 0 or below is a DomainError at once, under
+    both names of the method, instead of a bisection that never ends."""
+    ctx = bf.get_preset("golden").beta.ctx
+    t0 = time.perf_counter()
+    for bracket in (ctx.bracket, ctx.refine):
+        for width in (Fraction(0), 0, -1, Fraction(-1, 3)):
+            with pytest.raises(bf.DomainError, match="width"):
+                bracket(width)
+    assert time.perf_counter() - t0 < 1
+    lo, hi = ctx.bracket(Fraction(1, 1 << 20))
+    assert 0 < hi - lo <= Fraction(1, 1 << 20)
+
+
 ENCLOSURE_WIDTHS = (Fraction(1, 4), Fraction(1, 1 << 30), Fraction(1, 1 << 90))
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,36 @@ class TestRandomExpand:
         for t in trace:
             assert (t.toss_consumed is not None) == t.in_switch
             assert word[t.index] == str(t.emitted_bit)
+
+
+class TestOrbitCap:
+    """Every generator runs on the one orbit loop, so one cap bounds them all."""
+
+    def _calls(self, spec, n):
+        ones = bf.BitStream.constant(1)
+        q = bf.Quantizer(Fraction(7, 10), Fraction(1, 100))
+        return [
+            lambda: bf.greedy_prefix(spec, Fraction(1, 2), n),
+            lambda: bf.greedy_expand(spec, Fraction(1, 2), n),
+            lambda: bf.lazy_expand(spec, Fraction(1, 2), n),
+            lambda: bf.random_expand(spec, Fraction(1, 2), n, ones),
+            lambda: bf.adc_run(spec, q, Fraction(1, 2), n, ones),
+            lambda: bf.replay_tosses(spec, Fraction(1, 2), "0" * n),
+        ]
+
+    def test_above_the_cap_is_a_size_error_at_once(self, golden):
+        cap = bf.expand.ORBIT_CAP
+        for spec in (golden.beta, B32):
+            for call in self._calls(spec, cap + 1):
+                t0 = time.perf_counter()
+                with pytest.raises(bf.SizeGuardError, match=f"^{cap + 1} digits exceed the orbit cap ORBIT_CAP = {cap}$"):
+                    call()
+                assert time.perf_counter() - t0 < 1
+
+    def test_at_the_cap_the_orbit_runs(self, golden):
+        cap = bf.expand.ORBIT_CAP
+        word = bf.greedy_expand(golden.beta, Fraction(1, 2), cap)
+        assert len(word) == cap and word.startswith(bf.greedy_expand(golden.beta, Fraction(1, 2), 40))
 
 
 class TestLanding:

@@ -1,11 +1,24 @@
+import random
 import time
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import betaforge as bf
+from betaforge.multivalued import _dfs_window
 from conftest import random_rational
-from oracles import delta_oracle, enumerate_oracle_field, enumerate_oracle_rational, greedy_oracle
+from oracles import (
+    delta_oracle,
+    dfs_window_exact,
+    enumerate_oracle_field,
+    enumerate_oracle_rational,
+    greedy_oracle,
+    nu_counts_oracle,
+)
+from test_integer_coords import base
 
 B32 = bf.RationalBeta(Fraction(3, 2))
 B2 = bf.RationalBeta(Fraction(2))
@@ -317,6 +330,54 @@ class TestEnumerate:
                     assert all(w in words for w in part.classes[k].members)
 
 
+def _by_exact_value(words, values):
+    """(value, members) classes of the words, keyed by their exact values
+    and sorted by certified comparison."""
+    groups = {}
+    for w, v in zip(words, values):
+        groups.setdefault(v, []).append(w)
+    ordered = sorted(groups.items(), key=cmp_to_key(lambda a, b: bf.exact_cmp(a[0], b[0])))
+    return [(repr(v), tuple(sorted(ws))) for v, ws in ordered]
+
+
+@pytest.mark.parametrize("name", ["golden", "tribonacci", "sqrt2", "cbrt2", "nonmonic", "3/2", "7/4"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_window_walk_matches_the_exact_walk(name, data):
+    """The integer window walk lists the words of the exact-value walk, and
+    partitioning them gives the classes and class values of their exact
+    values; windows reach both ends of the domain, and endpoints may equal
+    a word's value exactly."""
+    spec = base(name)[0]
+    n = data.draw(st.integers(0, 9), label="n")
+    reach = bf.delta_finite(spec, "1" * n)  # the largest value of n digits
+    tail = bf.tail_bound(spec, n)
+    ends = {
+        "zero": Fraction(0),
+        "tail": tail,
+        "reach": reach,
+        "below-reach": reach - tail,
+        "top": bf.expansion_domain_max(spec),
+    }
+
+    def endpoint():
+        kind = data.draw(st.sampled_from(sorted(ends) + ["word", "rational"]))
+        if kind == "word":
+            return bf.delta_finite(spec, data.draw(st.text("01", min_size=n, max_size=n)))
+        if kind == "rational":
+            return Fraction(data.draw(st.integers(-100, 4000)), 1000)
+        return ends[kind]
+
+    lo, hi = sorted((endpoint(), endpoint()), key=cmp_to_key(bf.exact_cmp))
+    # every caller's window meets [0, reach], and so must these
+    assume(bf.exact_sign(hi) >= 0 and bf.exact_cmp(lo, reach) <= 0)
+    words, values = dfs_window_exact(spec, n, lo, hi)
+    assert _dfs_window(spec, n, lo, hi, "window") == words
+    expect = _by_exact_value(words, values)
+    for part in (bf.partition_words(spec, words), bf.partition_words(spec, words, values)):
+        assert [(repr(c.value), c.members) for c in part.classes] == expect
+
+
 class TestSetGuard:
     def test_guard_messages(self, golden, monkeypatch):
         monkeypatch.setattr(bf.multivalued, "SET_GUARD", 3)
@@ -380,3 +441,20 @@ class TestNuMeasure:
         b = Fraction(4, 3)
         direct = sum(1 for k in range(1 << m) if a <= delta_oracle(beta, format(k, f"0{m}b")) <= b)
         assert bf.nu_measure(B32, m, bf.Interval(a, b)) == Fraction(direct, 1 << m)
+
+    @pytest.mark.parametrize("name", ["golden", "tribonacci", "sqrt2"])
+    def test_matches_bruteforce_count_over_all_words(self, name):
+        # every word of m <= 12 digits compared with both endpoints by
+        # certified signs on integer coordinates; endpoints include the ends
+        # of the domain and exact word values
+        spec = bf.get_preset(name).beta
+        poly, iso = spec.ctx.minpoly, spec.ctx.isolating
+        top = bf.expansion_domain_max(spec)
+        rng = random.Random(name)
+        for m in range(13):
+            v = bf.delta_finite(spec, format(rng.getrandbits(m), f"0{m}b") if m else "")
+            cuts = sorted((random_rational(rng, Fraction(0), Fraction(2)), v), key=cmp_to_key(bf.exact_cmp))
+            intervals = [(Fraction(0), top), (v, v), tuple(cuts)]
+            coords = [tuple(getattr(e, "coeffs", e) for e in ends) for ends in intervals]
+            for (lo, hi), count in zip(intervals, nu_counts_oracle(poly, iso, m, coords)):
+                assert bf.nu_measure(spec, m, bf.Interval(lo, hi)) == Fraction(count, 1 << m)
