@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from operator import add
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .numerics import (
     AlgebraicBeta,
@@ -172,8 +172,8 @@ def is_generalized_garsia(data: MinPolyData) -> bool:
     return data.leading == 1 and abs(data.constant) >= 2
 
 
-def _weight_walk(beta: BetaSpec, words: Sequence[str]):
-    """The integer weight walk behind every equal-length word test.
+def _weight_walk(beta: BetaSpec, n: int, words: Sequence[str] = ()):
+    """The integer weight walk behind every length-n word test.
 
     Values are scaled by a^(n-1) beta^n, where a leads the ascending integer
     polynomial of the base (q*x - p for a rational base p/q, else the minimal
@@ -198,7 +198,6 @@ def _weight_walk(beta: BetaSpec, words: Sequence[str]):
         if poly[0] == 0:  # the walk divides by beta
             raise MalformedContextError("minimal polynomial has the root 0, so it is reducible")
     a = poly[-1]
-    n = len(words[0])
     # one ascending pass: weight runs through a^(n-1) beta^k for k < n, the
     # window sums all of them, and each deficit the weights under its ones
     weight = [a ** max(n - 1, 0)] + [0] * (len(poly) - 2)
@@ -254,7 +253,7 @@ def equiv(beta: BetaSpec, x: str, y: str) -> bool:
     validate_bits(y)
     if len(x) != len(y):
         raise DomainError(f"length mismatch: {len(x)} vs {len(y)}")
-    sign, (dx, dy), _, _ = _weight_walk(beta, (x, y))
+    sign, (dx, dy), _, _ = _weight_walk(beta, len(x), (x, y))
     return sign([u - v for u, v in zip(dx, dy)]) == 0
 
 
@@ -273,7 +272,7 @@ def equiv_class(beta: BetaSpec, x: str) -> list[str]:
     n = len(x)
     if n == 0:
         return [""]
-    sign, (deficit,), levels, _ = _weight_walk(beta, (x,))
+    sign, (deficit,), levels, _ = _weight_walk(beta, n, (x,))
     levels = list(levels)
     out = []
     stack = [(0, [(tuple(deficit), "")])]
@@ -314,14 +313,29 @@ class ClassPartition:
         raise DomainError(f"{word!r} is not in any class of this partition")
 
 
+def _classes(leaves: Iterable[tuple[str, Sequence[int]]], sign, values) -> tuple[ValueClass, ...]:
+    """The value classes of (word, vector) leaves, sorted by value.
+
+    The vectors are the words' scaled values in one integer frame of the
+    weight walk (possibly shifted by a constant and scaled by a positive
+    integer), so equal values have equal vectors: the words are grouped by
+    vector and the classes sorted by the certified sign of the difference of
+    their vectors.  values(keys) returns the exact value of each class,
+    given its vector, in the order of `keys`."""
+    groups: dict = {}
+    for word, v in leaves:
+        groups.setdefault(tuple(v), []).append(word)
+    keys = sorted(groups, key=cmp_to_key(lambda u, v: sign([x - y for x, y in zip(u, v)])))
+    return tuple(map(ValueClass, values(keys), (tuple(sorted(groups[k])) for k in keys)))
+
+
 def partition_words(beta: BetaSpec, words: Sequence[str], values: Optional[Sequence[ExactReal]] = None) -> ClassPartition:
     """Group equal-length words into exact value classes, sorted by value.
 
-    Equal values have equal scaled vectors in the weight walk, so the words
-    are grouped by vector and the classes sorted by the certified sign of
-    the difference of their vectors.  Each class's value is rebuilt once
-    from its vector, or read from `values`, the exact values of `words` in
-    order, when the caller has them."""
+    The words are grouped by their vectors in the weight walk (`_classes`),
+    and each class's value is rebuilt once from its vector, or read from
+    `values`, the exact values of `words` in order.  The package passes no
+    `values`; the parameter is kept for callers that hold them already."""
     words = list(words)
     if values is not None and len(values) != len(words):
         raise DomainError(f"{len(values)} values given for {len(words)} words")
@@ -330,13 +344,20 @@ def partition_words(beta: BetaSpec, words: Sequence[str], values: Optional[Seque
     n = len(words[0])
     if any(len(validate_bits(w)) != n for w in words):
         raise DomainError("all words in a partition must share one length")
-    sign, vectors, _, scale = _weight_walk(beta, words)
-    groups: dict = {}
-    for j, v in enumerate(vectors):
-        groups.setdefault(tuple(v), []).append(j)
-    keys = sorted(groups, key=cmp_to_key(lambda u, v: sign([x - y for x, y in zip(u, v)])))
+    sign, vectors, _, scale = _weight_walk(beta, n, words)
     if values is None:
-        b, unit = beta_value(beta), _inv(scale)
-        values = {groups[k][0]: _exact(b, k) * unit for k in keys}
-    classes = (ValueClass(values[groups[k][0]], tuple(sorted(words[j] for j in groups[k]))) for k in keys)
-    return ClassPartition(n, tuple(classes))
+        b = beta_value(beta)
+
+        def rebuild(keys):
+            unit = _inv(scale)
+            return [_exact(b, k) * unit for k in keys]
+
+    else:
+        given: dict = {}
+        for v, value in zip(vectors, values):
+            given.setdefault(tuple(v), value)
+
+        def rebuild(keys):
+            return [given[k] for k in keys]
+
+    return ClassPartition(n, _classes(zip(words, vectors), sign, rebuild))

@@ -84,7 +84,7 @@ def m_beta_fast(beta: BetaSpec, x: str, bounds: Optional[ConjugateBounds] = None
     n = len(x)
     if n == 0:
         return "", FastRunStats((), 0, None)
-    sign, (deficit,), levels, _ = _weight_walk(beta, (x,))
+    sign, (deficit,), levels, _ = _weight_walk(beta, n, (x,))
 
     width_bound = None
     width_cap = None

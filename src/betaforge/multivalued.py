@@ -20,8 +20,9 @@ share one pruned walk, `_dfs_window`, in the integer frame of the level
 sweep (`algebraic._weight_walk`): a prefix's scaled value is one integer
 coordinate vector, the window ends are scaled into that frame once per
 call, and each child costs one vector update and one certified sign.
-g_beta_window hands the walk's words to `partition_words`, which groups
-them by the same vectors.  nu_measure counts whole subtrees in a walk of its
+g_beta_window groups the walk's leaves by those vectors into value classes
+(`algebraic._classes`, shared with `partition_words`), so no word's value
+is computed twice.  nu_measure counts whole subtrees in a walk of its
 own, on exact values (`_window_table`, one `exact_cmp` per bound test).
 """
 
@@ -46,7 +47,7 @@ from .numerics import (
     _zcoords,
 )
 from .expand import delta_finite, tail_bound, validate_bits, _check_in_domain, _delta2, _inv, _tail, _word_value
-from .algebraic import ClassPartition, partition_words, _weight_walk
+from .algebraic import ClassPartition, _classes, _exact, _weight_walk
 
 __all__ = [
     "CandidateSet",
@@ -151,7 +152,8 @@ def _window_table(b: ExactReal, length: int):
 
 def _dfs_window(beta: BetaSpec, length: int, lo_w: ExactReal, hi_w: ExactReal, kind: str):
     """The words of the given length whose exact value lies in [lo_w, hi_w],
-    in lexicographic order.
+    in lexicographic order, with what `algebraic._classes` needs to group
+    them into value classes.
 
     The walk runs in the integer frame of `algebraic._weight_walk`: values
     scaled by a^(n-1) beta^n.  The window ends are scaled into it once per
@@ -162,29 +164,42 @@ def _dfs_window(beta: BetaSpec, length: int, lo_w: ExactReal, hi_w: ExactReal, k
     e + D*(window_(i+1) + H - L) >= 0.  So each child costs one vector
     update and one certified sign, `ctx.sign_of_coeffs` (an int comparison
     on a rational base).  The window must meet [0, window_0], as every
-    caller's does for a base in (1, 2].  More than SET_GUARD words raise
-    SizeGuardError naming the `kind` of enumeration."""
-    # the all-zero word fixes the length; its deficit is the zero vector
-    sign, (zero,), levels, scale = _weight_walk(beta, ("0" * length,))
-    den, (lo, hi) = _zcoords(len(zero), (lo_w * scale, hi_w * scale))
+    caller's does for a base in (1, 2].
+
+    Returns (leaves, sign, values): `leaves` yields each word with its e in
+    order, and raises SizeGuardError naming the `kind` of enumeration past
+    SET_GUARD words; `sign` certifies the sign of such vectors; values(keys)
+    rebuilds the exact value (e + H) / (D * scale) of each leaf vector e."""
+    b = beta_value(beta)
+    sign, _, levels, scale = _weight_walk(beta, length)
+    degree = 1 if isinstance(b, Fraction) else b.ctx.degree
+    den, (lo, hi) = _zcoords(degree, (lo_w * scale, hi_w * scale))
     span = [h - l for h, l in zip(hi, lo)]
     steps = [([den * w for w in weight], [den * u + s for u, s in zip(window, span)]) for weight, window in levels]
-    words = []
-    stack = [(0, [-h for h in hi], "")]
-    while stack:
-        i, e, word = stack.pop()
-        if i == length:
-            words.append(word)
-            if len(words) > SET_GUARD:
-                raise SizeGuardError(f"{kind} enumeration exceeded guard {SET_GUARD}")
-            continue
-        weight, reach = steps[i]
-        e1 = list(map(add, e, weight))
-        if sign(e1) <= 0:
-            stack.append((i + 1, e1, word + "1"))
-        if sign(list(map(add, e, reach))) >= 0:
-            stack.append((i + 1, e, word + "0"))
-    return words
+
+    def leaves():
+        count = 0
+        stack = [(0, [-h for h in hi], "")]
+        while stack:
+            i, e, word = stack.pop()
+            if i == length:
+                count += 1
+                if count > SET_GUARD:
+                    raise SizeGuardError(f"{kind} enumeration exceeded guard {SET_GUARD}")
+                yield word, e
+                continue
+            weight, reach = steps[i]
+            e1 = list(map(add, e, weight))
+            if sign(e1) <= 0:
+                stack.append((i + 1, e1, word + "1"))
+            if sign(list(map(add, e, reach))) >= 0:
+                stack.append((i + 1, e, word + "0"))
+
+    def values(keys):
+        unit = _inv(scale)
+        return [_exact(b, list(map(add, k, hi)), den) * unit for k in keys]
+
+    return leaves(), sign, values
 
 
 def f_2_to_beta(beta: BetaSpec, x: str) -> CandidateSet:
@@ -200,8 +215,8 @@ def f_2_to_beta(beta: BetaSpec, x: str) -> CandidateSet:
     v = _delta2(x)
     pad = Fraction(1, 1 << n)
     window = Interval(v - pad, v + pad)
-    words = _dfs_window(beta, m, window.lo - pad, window.hi + pad, "window")
-    return CandidateSet(m, tuple(words), window, n)
+    leaves, _, _ = _dfs_window(beta, m, window.lo - pad, window.hi + pad, "window")
+    return CandidateSet(m, tuple(word for word, _ in leaves), window, n)
 
 
 def g_beta_window(beta: BetaSpec, x: str) -> ClassPartition:
@@ -215,7 +230,7 @@ def g_beta_window(beta: BetaSpec, x: str) -> ClassPartition:
     v = delta_finite(beta, x)
     tail = tail_bound(beta, n)
     pad = Fraction(1, 1 << n)
-    return partition_words(beta, _dfs_window(beta, n, v - tail - pad, v + tail + pad, "window"))
+    return ClassPartition(n, _classes(*_dfs_window(beta, n, v - tail - pad, v + tail + pad, "window")))
 
 
 def f_1_to_all(beta: BetaSpec, x: str) -> list[tuple[str, ...]]:
@@ -246,7 +261,8 @@ def enumerate_expansions(beta: BetaSpec, s: ExactReal, n: int):
     if n < 0:
         raise DomainError("n must be nonnegative")
     _check_in_domain(beta_value(beta), s)
-    return _dfs_window(beta, n, s - tail_bound(beta, n), s, "expansion")
+    leaves, _, _ = _dfs_window(beta, n, s - tail_bound(beta, n), s, "expansion")
+    return [word for word, _ in leaves]
 
 
 def nu_measure(beta: BetaSpec, m: int, interval: Interval) -> Fraction:

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import betaforge as bf
+from betaforge.algebraic import _classes
 from betaforge.multivalued import _dfs_window
 from conftest import random_rational
 from oracles import (
@@ -345,9 +346,9 @@ def _by_exact_value(words, values):
 @given(data=st.data())
 def test_window_walk_matches_the_exact_walk(name, data):
     """The integer window walk lists the words of the exact-value walk, and
-    partitioning them gives the classes and class values of their exact
-    values; windows reach both ends of the domain, and endpoints may equal
-    a word's value exactly."""
+    grouping its leaves, or partitioning its words, gives the classes and
+    class values of their exact values; windows reach both ends of the
+    domain, and endpoints may equal a word's value exactly."""
     spec = base(name)[0]
     n = data.draw(st.integers(0, 9), label="n")
     reach = bf.delta_finite(spec, "1" * n)  # the largest value of n digits
@@ -372,10 +373,16 @@ def test_window_walk_matches_the_exact_walk(name, data):
     # every caller's window meets [0, reach], and so must these
     assume(bf.exact_sign(hi) >= 0 and bf.exact_cmp(lo, reach) <= 0)
     words, values = dfs_window_exact(spec, n, lo, hi)
-    assert _dfs_window(spec, n, lo, hi, "window") == words
+    leaves, sign, rebuild = _dfs_window(spec, n, lo, hi, "window")
+    leaves = list(leaves)
+    assert [word for word, _ in leaves] == words
     expect = _by_exact_value(words, values)
-    for part in (bf.partition_words(spec, words), bf.partition_words(spec, words, values)):
-        assert [(repr(c.value), c.members) for c in part.classes] == expect
+    for classes in (
+        _classes(leaves, sign, rebuild),
+        bf.partition_words(spec, words).classes,
+        bf.partition_words(spec, words, values).classes,
+    ):
+        assert [(repr(c.value), c.members) for c in classes] == expect
 
 
 class TestSetGuard:
