@@ -3,12 +3,18 @@ value-equivalence of equal-length digit words, and class enumeration.
 
 Two equal-length words are equivalent when their digit sums against inverse
 powers of the base agree exactly; for an algebraic base this is decidable in
-the number field.  `equiv`, `equiv_class` and the canonicalizer's level
-sweep decide it on one integer walk over the digit weights
-a^(n-1) beta^k, each an integer coordinate vector (`_weight_walk`), with
-certified signs.  A certified separation bound keeps non-equivalent values
-apart, which is what makes windowed class enumeration terminate with exact
-answers.
+the number field.  This module owns the one integer frame for equal-length
+words: values scaled by a^(n-1) beta^n, so that every digit weight
+a^(n-1) beta^k is an integer coordinate vector (`_weight_walk`), decided by
+certified signs.  `equiv` compares two words' vectors, and the
+canonicalizer's level sweep merges equal deficits level by level.  Every
+set of words with values in a window comes from one depth-first walk,
+`_walk`: `equiv_class` walks the one-point window at x's value, and
+`_window_walk` scales exact window ends into the frame for the prefix sets
+and windows of `multivalued`.  `_classes` groups such words by their
+vectors into value classes and rebuilds each class value once.  A certified
+separation bound keeps non-equivalent values apart, which is what makes
+windowed class enumeration terminate with exact answers.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from operator import add
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .numerics import (
     AlgebraicBeta,
@@ -28,6 +34,7 @@ from .numerics import (
     NumberFieldContext,
     SizeGuardError,
     beta_value,
+    _zcoords,
     _zdiv_beta,
     _zelement,
     _zmul_beta,
@@ -231,22 +238,6 @@ def _exact(b: ExactReal, v: Sequence[int], den: int = 1) -> ExactReal:
     return Fraction(v[0], den) if isinstance(b, Fraction) else _zelement(b.ctx, den, v)
 
 
-def _children(sign, level, weight, window, last):
-    """The (deficit, word) extensions of each live prefix in `level` by digit
-    1, then digit 0, whose deficit the remaining digits can still cancel.
-
-    Every live deficit d satisfies 0 <= d <= window_(i-1) (level 1: x's
-    deficit sums some of the weights), so d - weight <= window_i and d >= 0
-    hold already and each candidate needs one sign; at the last level the
-    window is 0 and the test is exact zero."""
-    for deficit, word in level:
-        d1 = tuple(u - w for u, w in zip(deficit, weight))
-        if (not any(d1)) if last else sign(d1) >= 0:
-            yield d1, word + "1"
-        if (not any(deficit)) if last else sign([u - w for u, w in zip(deficit, window)]) <= 0:
-            yield deficit, word + "0"
-
-
 def equiv(beta: BetaSpec, x: str, y: str) -> bool:
     """Exact equality of the two words' values; words must have equal length."""
     validate_bits(x)
@@ -258,37 +249,71 @@ def equiv(beta: BetaSpec, x: str, y: str) -> bool:
 
 
 def equiv_class(beta: BetaSpec, x: str) -> list[str]:
-    """All equal-length words sharing the exact value of x, sorted.
-
-    The level sweep's weight walk without its merge: every prefix whose
-    deficit the remaining digits can still cancel stays alive, and the class
-    is the set of words that end at deficit 0.  The prefixes are searched
-    depth first in batches of up to 256, so memory stays at the n weights and
-    windows plus at most 2n batches, however many prefixes a level holds.
-    More than EQUIV_NODE_CAP visited prefixes raise SizeGuardError, which no
-    word of up to 20 digits reaches: its prefix tree has 2^21 - 1 nodes.
+    """All equal-length words sharing the exact value of x, sorted: the
+    window walk (`_walk`) over the one-point window [value(x), value(x)],
+    whose scaled end is x's deficit.  More than EQUIV_NODE_CAP visited
+    prefixes raise SizeGuardError, which no word of up to 20 digits reaches:
+    its prefix tree has 2^21 - 1 nodes.
     """
     validate_bits(x)
     n = len(x)
     if n == 0:
         return [""]
     sign, (deficit,), levels, _ = _weight_walk(beta, n, (x,))
-    levels = list(levels)
-    out = []
-    stack = [(0, [(tuple(deficit), "")])]
+    return [word for word, _ in _walk(sign, levels, 1, deficit, deficit, "equivalence class")]
+
+
+def _walk(sign, levels, den: int, lo: Sequence[int], hi: Sequence[int], kind: str):
+    """The words whose scaled value v (in the frame of `_weight_walk`, whose
+    `sign` and `levels` it takes) satisfies lo <= den*v <= hi, in
+    lexicographic order, each with its e = den*v - hi.
+
+    Every prefix of i digits and scaled value v carries e = den*v - hi as
+    one integer vector, and its child is visited only when the child's
+    reachable interval meets the window: digit 1 when e + den*weight_(i+1)
+    <= 0, digit 0 when e + den*window_(i+1) + hi - lo >= 0.  So each child
+    costs one vector update and one certified sign.  Every visited prefix
+    meets the window, so every leaf lies in it; the window must meet [0,
+    window_0].  More than EQUIV_NODE_CAP visited prefixes raise
+    SizeGuardError naming the `kind` of search."""
+    span = [h - l for h, l in zip(hi, lo)]
+    steps = [([den * w for w in weight], [den * u + s for u, s in zip(window, span)]) for weight, window in levels]
+    n = len(steps)
     visited = 0
+    stack = [(0, [-h for h in hi], "")]
     while stack:
-        i, batch = stack.pop()
-        visited += len(batch)
+        i, e, word = stack.pop()
+        visited += 1
         if visited > EQUIV_NODE_CAP:
-            raise SizeGuardError(f"equivalence class search visited more than {EQUIV_NODE_CAP} prefixes")
+            raise SizeGuardError(f"{kind} search visited more than {EQUIV_NODE_CAP} prefixes")
         if i == n:
-            out.extend(word for _, word in batch)
+            yield word, e
             continue
-        weight, window = levels[i]
-        children = list(_children(sign, batch, weight, window, i + 1 == n))
-        stack.extend((i + 1, children[k : k + 256]) for k in range(0, len(children), 256))
-    return sorted(out)
+        weight, reach = steps[i]
+        e1 = list(map(add, e, weight))
+        if sign(e1) <= 0:
+            stack.append((i + 1, e1, word + "1"))
+        if sign(list(map(add, e, reach))) >= 0:
+            stack.append((i + 1, e, word + "0"))
+
+
+def _window_walk(beta: BetaSpec, n: int, lo_w: ExactReal, hi_w: ExactReal, kind: str):
+    """The words of n digits whose exact value lies in [lo_w, hi_w].
+
+    The window ends are scaled into the frame of `_weight_walk` once, to
+    integer vectors over a common denominator, and `_walk` lists the words.
+    Returns (leaves, classes): `leaves` is that walk, yielding each word
+    with its vector e in lexicographic order, and classes(leaves) groups
+    such leaves into value classes sorted by value (`_classes`)."""
+    b = beta_value(beta)
+    sign, _, levels, scale = _weight_walk(beta, n)
+    degree = 1 if isinstance(b, Fraction) else b.ctx.degree
+    den, (lo, hi) = _zcoords(degree, (lo_w * scale, hi_w * scale))
+
+    def classes(leaves):
+        return _classes(((word, map(add, e, hi)) for word, e in leaves), sign, b, _inv(den * scale))
+
+    return _walk(sign, levels, den, lo, hi, kind), classes
 
 
 @dataclass(frozen=True)
@@ -313,51 +338,30 @@ class ClassPartition:
         raise DomainError(f"{word!r} is not in any class of this partition")
 
 
-def _classes(leaves: Iterable[tuple[str, Sequence[int]]], sign, values) -> tuple[ValueClass, ...]:
+def _classes(leaves: Iterable[tuple[str, Iterable[int]]], sign, b: ExactReal, unit: ExactReal) -> tuple[ValueClass, ...]:
     """The value classes of (word, vector) leaves, sorted by value.
 
-    The vectors are the words' scaled values in one integer frame of the
-    weight walk (possibly shifted by a constant and scaled by a positive
-    integer), so equal values have equal vectors: the words are grouped by
-    vector and the classes sorted by the certified sign of the difference of
-    their vectors.  values(keys) returns the exact value of each class,
-    given its vector, in the order of `keys`."""
+    Each vector is a word's scaled value in the frame of `_weight_walk`,
+    times one positive integer, and `unit` turns it back into the exact
+    value.  Equal values have equal vectors, so the words are grouped by
+    vector, the classes are sorted by the certified sign of the difference
+    of their vectors, and each class value is rebuilt once, as unit times
+    its vector."""
     groups: dict = {}
     for word, v in leaves:
         groups.setdefault(tuple(v), []).append(word)
     keys = sorted(groups, key=cmp_to_key(lambda u, v: sign([x - y for x, y in zip(u, v)])))
-    return tuple(map(ValueClass, values(keys), (tuple(sorted(groups[k])) for k in keys)))
+    return tuple(ValueClass(_exact(b, k) * unit, tuple(sorted(groups[k]))) for k in keys)
 
 
-def partition_words(beta: BetaSpec, words: Sequence[str], values: Optional[Sequence[ExactReal]] = None) -> ClassPartition:
-    """Group equal-length words into exact value classes, sorted by value.
-
-    The words are grouped by their vectors in the weight walk (`_classes`),
-    and each class's value is rebuilt once from its vector, or read from
-    `values`, the exact values of `words` in order.  The package passes no
-    `values`; the parameter is kept for callers that hold them already."""
+def partition_words(beta: BetaSpec, words: Sequence[str]) -> ClassPartition:
+    """Group equal-length words into exact value classes, sorted by value:
+    `_classes` over the words' scaled values from `_weight_walk`."""
     words = list(words)
-    if values is not None and len(values) != len(words):
-        raise DomainError(f"{len(values)} values given for {len(words)} words")
     if not words:
         return ClassPartition(0, ())
     n = len(words[0])
     if any(len(validate_bits(w)) != n for w in words):
         raise DomainError("all words in a partition must share one length")
     sign, vectors, _, scale = _weight_walk(beta, n, words)
-    if values is None:
-        b = beta_value(beta)
-
-        def rebuild(keys):
-            unit = _inv(scale)
-            return [_exact(b, k) * unit for k in keys]
-
-    else:
-        given: dict = {}
-        for v, value in zip(vectors, values):
-            given.setdefault(tuple(v), value)
-
-        def rebuild(keys):
-            return [given[k] for k in keys]
-
-    return ClassPartition(n, _classes(zip(words, vectors), sign, rebuild))
+    return ClassPartition(n, _classes(zip(words, vectors), sign, beta_value(beta), _inv(scale)))

@@ -9,8 +9,9 @@ level stays bounded, which is what makes the sweep take a linear number of
 steps.  Both routes walk the same integer digit weights in Q(beta)
 (`algebraic._weight_walk`), a rational base p/q being the degree-1 case
 q*x - p; every weight, window and deficit is an integer vector of O(n)
-bits.  The class search keeps every live prefix, depth first; the sweep
-keeps one weight, one window and one prefix per live deficit.  On other
+bits.  The class search is `algebraic.equiv_class`, the one depth-first
+walk of `algebraic`; the sweep keeps one weight, one window and one prefix
+per live deficit.  On other
 bases the classes per level can grow without bound, and more than
 SWEEP_CLASS_CAP of them stop the sweep with SizeGuardError.
 """
@@ -23,7 +24,7 @@ from typing import Optional, Sequence
 
 from .numerics import BetaForgeError, BetaSpec, DomainError, SizeGuardError
 from .expand import validate_bits
-from .algebraic import ConjugateBounds, equiv_class, _children, _weight_walk
+from .algebraic import ConjugateBounds, equiv_class, _weight_walk
 
 __all__ = [
     "FastRunStats",
@@ -96,9 +97,19 @@ def m_beta_fast(beta: BetaSpec, x: str, bounds: Optional[ConjugateBounds] = None
     counts = []
     steps = 0
     for i, (weight, window) in enumerate(levels, start=1):
+        # every live deficit d satisfies 0 <= d <= window_(i-1) (level 1: x's
+        # deficit sums some of the weights), so d - weight <= window_i and
+        # d >= 0 hold already and each candidate, digit 1 and then digit 0,
+        # needs one sign; at the last level the window is 0 and the test is
+        # exact zero
+        last = i == n
         fresh: dict = {}
-        for d, word in _children(sign, level, weight, window, i == n):
-            fresh.setdefault(d, word)
+        for d, word in level:
+            d1 = tuple(u - w for u, w in zip(d, weight))
+            if (not any(d1)) if last else sign(d1) >= 0:
+                fresh.setdefault(d1, word + "1")
+            if (not any(d)) if last else sign([u - w for u, w in zip(d, window)]) <= 0:
+                fresh.setdefault(d, word + "0")
         steps += 2 * len(level)
         level = list(fresh.items())
         counts.append(len(level))

@@ -35,6 +35,7 @@ from .numerics import (
     exact_cmp,
     exact_float,
     exact_sign,
+    _least_power,
     _zcoords,
     _zelement,
     _zmul_beta,
@@ -347,7 +348,10 @@ def landing_threshold(beta: BetaSpec, r: ExactReal) -> LandingInfo:
     together with the real-valued threshold it is compared against.
 
     The all-ones fixed point r = 1/(beta-1) never lands; its threshold is
-    infinite and the landing index is None.
+    infinite and the landing index is None.  Below it, with F = 1/(beta-1),
+    the iterates x_k = beta*x_(k-1) - 1 satisfy x_k - F = beta^k (r - F), so
+    x_k < 1 exactly when beta^k > ratio = (2-beta)/(1-(beta-1)r), and ratio
+    > 0: the landing index is the least power past ratio.
     """
     b = beta_value(beta)
     if isinstance(b, Fraction) and b == 2:
@@ -356,11 +360,8 @@ def landing_threshold(beta: BetaSpec, r: ExactReal) -> LandingInfo:
     numer = 1 - (b - 1) * r  # zero exactly at the fixed point
     if exact_sign(numer) == 0:
         return LandingInfo(math.inf, None)
-    ratio = exact_float((2 - b) / numer)
-    threshold = math.log(ratio) / math.log(exact_float(b)) if ratio > 0 else -math.inf
-    least = 0
-    x = r
-    while exact_cmp(x, 1) >= 0:
-        x = b * x - 1
+    ratio = (2 - b) / numer
+    least = _least_power(b, ratio)
+    if exact_cmp(b**least, ratio) == 0:  # beta^least = ratio is no landing yet
         least += 1
-    return LandingInfo(threshold, least)
+    return LandingInfo(math.log(exact_float(ratio)) / math.log(exact_float(b)), least)

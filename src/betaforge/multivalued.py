@@ -16,21 +16,18 @@ evaluates a rational or field window endpoint as it would a base.
 
 The exact prefix set of s is a window too: the length-n words with values in
 [s - beta^-n/(beta-1), s].  f_2_to_beta, g_beta_window and enumerate_expansions
-share one pruned walk, `_dfs_window`, in the integer frame of the level
-sweep (`algebraic._weight_walk`): a prefix's scaled value is one integer
-coordinate vector, the window ends are scaled into that frame once per
-call, and each child costs one vector update and one certified sign.
-g_beta_window groups the walk's leaves by those vectors into value classes
-(`algebraic._classes`, shared with `partition_words`), so no word's value
-is computed twice.  nu_measure counts whole subtrees in a walk of its
-own, on exact values (`_window_table`, one `exact_cmp` per bound test).
+compute their window here and list its words with the one depth-first
+walk of `algebraic._window_walk`, in the integer frame of the level sweep;
+g_beta_window groups the walk's leaves into value classes with it, so no
+word's value is computed twice.  This module counts the listed words
+against SET_GUARD.  nu_measure counts whole subtrees in a walk of its own,
+on exact values (`_window_table`, one `exact_cmp` per bound test).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 from .numerics import (
     BetaForgeError,
@@ -44,10 +41,9 @@ from .numerics import (
     exact_cmp,
     exact_floor,
     _least_power,
-    _zcoords,
 )
 from .expand import delta_finite, tail_bound, validate_bits, _check_in_domain, _delta2, _inv, _tail, _word_value
-from .algebraic import ClassPartition, _classes, _exact, _weight_walk
+from .algebraic import ClassPartition, _window_walk
 
 __all__ = [
     "CandidateSet",
@@ -150,56 +146,18 @@ def _window_table(b: ExactReal, length: int):
     return inv_pows, remaining
 
 
-def _dfs_window(beta: BetaSpec, length: int, lo_w: ExactReal, hi_w: ExactReal, kind: str):
-    """The words of the given length whose exact value lies in [lo_w, hi_w],
-    in lexicographic order, with what `algebraic._classes` needs to group
-    them into value classes.
+def _guarded_walk(beta: BetaSpec, length: int, lo_w: ExactReal, hi_w: ExactReal, kind: str):
+    """`algebraic._window_walk` over [lo_w, hi_w], whose leaves raise
+    SizeGuardError naming the `kind` of enumeration past SET_GUARD words."""
+    leaves, classes = _window_walk(beta, length, lo_w, hi_w, kind)
 
-    The walk runs in the integer frame of `algebraic._weight_walk`: values
-    scaled by a^(n-1) beta^n.  The window ends are scaled into it once per
-    call, to L and H over a common denominator D.  A prefix of i digits and
-    scaled value v carries e = D*(v - H) as one integer coordinate vector,
-    and its child is pushed only when the child's reachable interval meets
-    the window: digit 1 when e + D*weight_(i+1) <= 0, digit 0 when
-    e + D*(window_(i+1) + H - L) >= 0.  So each child costs one vector
-    update and one certified sign, `ctx.sign_of_coeffs` (an int comparison
-    on a rational base).  The window must meet [0, window_0], as every
-    caller's does for a base in (1, 2].
+    def guarded():
+        for count, leaf in enumerate(leaves, 1):
+            if count > SET_GUARD:
+                raise SizeGuardError(f"{kind} enumeration exceeded guard {SET_GUARD}")
+            yield leaf
 
-    Returns (leaves, sign, values): `leaves` yields each word with its e in
-    order, and raises SizeGuardError naming the `kind` of enumeration past
-    SET_GUARD words; `sign` certifies the sign of such vectors; values(keys)
-    rebuilds the exact value (e + H) / (D * scale) of each leaf vector e."""
-    b = beta_value(beta)
-    sign, _, levels, scale = _weight_walk(beta, length)
-    degree = 1 if isinstance(b, Fraction) else b.ctx.degree
-    den, (lo, hi) = _zcoords(degree, (lo_w * scale, hi_w * scale))
-    span = [h - l for h, l in zip(hi, lo)]
-    steps = [([den * w for w in weight], [den * u + s for u, s in zip(window, span)]) for weight, window in levels]
-
-    def leaves():
-        count = 0
-        stack = [(0, [-h for h in hi], "")]
-        while stack:
-            i, e, word = stack.pop()
-            if i == length:
-                count += 1
-                if count > SET_GUARD:
-                    raise SizeGuardError(f"{kind} enumeration exceeded guard {SET_GUARD}")
-                yield word, e
-                continue
-            weight, reach = steps[i]
-            e1 = list(map(add, e, weight))
-            if sign(e1) <= 0:
-                stack.append((i + 1, e1, word + "1"))
-            if sign(list(map(add, e, reach))) >= 0:
-                stack.append((i + 1, e, word + "0"))
-
-    def values(keys):
-        unit = _inv(scale)
-        return [_exact(b, list(map(add, k, hi)), den) * unit for k in keys]
-
-    return leaves(), sign, values
+    return guarded(), classes
 
 
 def f_2_to_beta(beta: BetaSpec, x: str) -> CandidateSet:
@@ -215,7 +173,7 @@ def f_2_to_beta(beta: BetaSpec, x: str) -> CandidateSet:
     v = _delta2(x)
     pad = Fraction(1, 1 << n)
     window = Interval(v - pad, v + pad)
-    leaves, _, _ = _dfs_window(beta, m, window.lo - pad, window.hi + pad, "window")
+    leaves, _ = _guarded_walk(beta, m, window.lo - pad, window.hi + pad, "window")
     return CandidateSet(m, tuple(word for word, _ in leaves), window, n)
 
 
@@ -230,7 +188,8 @@ def g_beta_window(beta: BetaSpec, x: str) -> ClassPartition:
     v = delta_finite(beta, x)
     tail = tail_bound(beta, n)
     pad = Fraction(1, 1 << n)
-    return ClassPartition(n, _classes(*_dfs_window(beta, n, v - tail - pad, v + tail + pad, "window")))
+    leaves, classes = _guarded_walk(beta, n, v - tail - pad, v + tail + pad, "window")
+    return ClassPartition(n, classes(leaves))
 
 
 def f_1_to_all(beta: BetaSpec, x: str) -> list[tuple[str, ...]]:
@@ -261,7 +220,7 @@ def enumerate_expansions(beta: BetaSpec, s: ExactReal, n: int):
     if n < 0:
         raise DomainError("n must be nonnegative")
     _check_in_domain(beta_value(beta), s)
-    leaves, _, _ = _dfs_window(beta, n, s - tail_bound(beta, n), s, "expansion")
+    leaves, _ = _guarded_walk(beta, n, s - tail_bound(beta, n), s, "expansion")
     return [word for word, _ in leaves]
 
 

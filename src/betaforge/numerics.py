@@ -15,6 +15,7 @@ prove the polynomial reducible.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,12 +82,31 @@ class SizeGuardError(BetaForgeError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", an integer literal, or a decimal string, exactly."""
+    """Parse "p/q", an integer literal, or a decimal string, exactly.
+
+    A numerator or denominator of more than sys.get_int_max_str_digits()
+    digits, the limit format_rational prints against, is a SizeGuardError.
+    A decimal m * 10^k is decided before the power of ten is built: for a
+    nonzero m written in L characters, 10^(|k| - L) bounds the numerator
+    (k > 0) or the denominator (k < 0) from below."""
     text = text.strip()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     try:
-        return Fraction(text)
+        decimal = re.fullmatch(r"(.*)[eE]([-+]?\d+(?:_\d+)*)", text) if limit else None
+        if decimal is None:
+            q = Fraction(text)
+        else:
+            head, k = decimal[1], int(decimal[2])
+            q = Fraction(head + "e0")  # the form check, without the power
+            if q:
+                if abs(k) - len(head) >= limit:
+                    raise SizeGuardError(f"number too long to parse: more than {limit} digits")
+                q *= Fraction(10) ** k
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot parse rational from {text!r}") from exc
+    if limit and max(abs(q.numerator), q.denominator) >= 10**limit:
+        raise SizeGuardError(f"number too long to parse: more than {limit} digits")
+    return q
 
 
 def format_rational(q: Fraction) -> str:

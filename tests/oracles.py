@@ -6,14 +6,18 @@ brackets, and `FractionElement`, field arithmetic on tuples of Fraction
 coefficients; those results can be frozen into assertions against the
 package.
 
-The last section keeps the element-based shift-map orbit, the table-based
-level sweep, with its `scaled_power_table`, and the window walk on exact
-values, `dfs_window_exact`, that integer coordinates replaced.  They run on
-the package's exact elements (Fractions and `NumberFieldElement`, compared
-with `exact_cmp`) and share with it only that element arithmetic and the
-certified sign evaluator, so they serve as differential oracles for
-`expand._orbit`, its digit rules, `canonical.m_beta_fast` and
-`multivalued._dfs_window`.
+The last section keeps code that the package replaced, as differential
+oracles.  The element-based shift-map orbit, the landing loop
+`landing_oracle`, the table-based level sweep, with its
+`scaled_power_table`, and the window walk on exact values,
+`dfs_window_exact`, run on the package's exact elements (Fractions and
+`NumberFieldElement`, compared with `exact_cmp`) and share with it only that
+element arithmetic and the certified sign evaluator; they check
+`expand._orbit`, its digit rules, `expand.landing_threshold`,
+`canonical.m_beta_fast` and `algebraic._window_walk`.  The batched class
+search `equiv_class_batched` shares the package's integer frame,
+`algebraic._weight_walk`, but not the package's depth-first walk, and
+checks `algebraic.equiv_class`.
 """
 
 import functools
@@ -511,6 +515,17 @@ def adc_run_elements(beta, t, eps, s, n, tosses: str):
     return bits, tuple(switch), "".join(consumed), r, bool(faults), tuple(faults)
 
 
+def landing_oracle(beta, r):
+    """The least k at which the greedy map, stepping x -> beta*x - 1 while
+    x >= 1, brings r below 1; r must lie below the fixed point 1/(beta-1)."""
+    b = bf.beta_value(beta)
+    k = 0
+    while bf.exact_cmp(r, 1) >= 0:
+        r = b * r - 1
+        k += 1
+    return k
+
+
 def replay_tosses_elements(beta, s, x):
     """x's digits at its switch-region visits, or None when x leaves the
     prefix set of s."""
@@ -603,3 +618,33 @@ def dfs_window_exact(beta, length, lo_w, hi_w):
         if bf.exact_cmp(v + remaining[i + 1], lo_w) >= 0:
             stack.append((i + 1, v, word + "0"))
     return words, values
+
+
+def equiv_class_batched(beta, x):
+    """All words of x's length and exact value, sorted: the weight walk's
+    live prefixes searched depth first in batches of up to 256, each prefix
+    kept while the remaining digits can still cancel its deficit, with an
+    exact zero test at the last level."""
+    n = len(x)
+    if n == 0:
+        return [""]
+    sign, (deficit,), levels, _ = bf.algebraic._weight_walk(beta, n, (x,))
+    levels = list(levels)
+    out = []
+    stack = [(0, [(tuple(deficit), "")])]
+    while stack:
+        i, batch = stack.pop()
+        if i == n:
+            out.extend(word for _, word in batch)
+            continue
+        weight, window = levels[i]
+        last = i + 1 == n
+        children = []
+        for d, word in batch:
+            d1 = tuple(u - w for u, w in zip(d, weight))
+            if (not any(d1)) if last else sign(d1) >= 0:
+                children.append((d1, word + "1"))
+            if (not any(d)) if last else sign([u - w for u, w in zip(d, window)]) <= 0:
+                children.append((d, word + "0"))
+        stack.extend((i + 1, children[k : k + 256]) for k in range(0, len(children), 256))
+    return sorted(out)

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
 
 import betaforge as bf
-from oracles import delta_oracle, group_by_value, root_bracket, zint_interval
+from oracles import delta_oracle, equiv_class_batched, group_by_value, root_bracket, zint_interval
+from test_integer_coords import base
 
 GOLDEN_POLY = [-1, -1, 1]
 SQRT2_POLY = [-2, 0, 1]
@@ -156,6 +158,21 @@ class TestEquivClass:
             with pytest.raises(bf.SizeGuardError, match="more than 100 prefixes"):
                 bf.equiv_class(near_one, x)
 
+    @pytest.mark.parametrize(
+        "name", ["golden", "tribonacci", "sqrt2", "cbrt2", "nonmonic", "3/2", "7/4", "101/100"]
+    )
+    def test_matches_the_batched_search(self, name):
+        # the depth-first walk lists the class of the batched search, in
+        # order, and the bruteforce canonical form is its last member
+        beta = base(name)[0]
+        rng = random.Random(name)
+        for _ in range(12):
+            n = rng.randrange(0, 19 if name == "101/100" else 21)
+            x = "".join(rng.choice("01") for _ in range(n))
+            expect = equiv_class_batched(beta, x)
+            assert bf.equiv_class(beta, x) == expect
+            assert bf.m_beta_bruteforce(beta, x) == expect[-1]
+
 
 class TestSharedWalk:
     # the first four have no equal-value words of equal length; golden and
@@ -214,17 +231,6 @@ class TestPartition:
         part = bf.partition_words(golden.beta, words)
         k = part.index_of("1100")
         assert "1011" in part.classes[k - 1].members
-
-    def test_values_must_match_words_in_length(self):
-        # zip would drop the extra words without a word
-        b = bf.RationalBeta(Fraction(3, 2))
-        for values in ([Fraction(4, 9)], [Fraction(4, 9)] * 4, []):
-            with pytest.raises(bf.DomainError, match="values given for 3 words"):
-                bf.partition_words(b, ["01", "10", "11"], values)
-        part = bf.partition_words(b, ["01", "10", "11"], [Fraction(4, 9), Fraction(2, 3), Fraction(10, 9)])
-        assert [(c.value, c.members) for c in part.classes] == [
-            (Fraction(4, 9), ("01",)), (Fraction(2, 3), ("10",)), (Fraction(10, 9), ("11",))
-        ]
 
     def test_presets_available(self):
         names = sorted(bf.builtin_presets())

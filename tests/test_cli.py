@@ -486,6 +486,32 @@ def test_oversized_inputs_end_in_one_error_line(argv, stderr):
     assert (done.returncode, done.stdout, done.stderr) == (1, "", stderr.format(limit=limit))
 
 
+def test_huge_exponent_ends_in_one_error_line():
+    # Fraction("1e-100000000") alone builds a power of 10^8 digits first
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter parses integers of any length")
+    t0 = time.perf_counter()
+    done = _python_dash_m(["expand", "--beta", "3/2", "--s", "1e-100000000", "--n", "3"])
+    assert time.perf_counter() - t0 < 2
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: number too long to parse: more than {limit} digits\n"
+
+
+def test_rationals_at_the_digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter parses integers of any length")
+    error = f"error: number too long to parse: more than {limit} digits"
+    # a denominator of `limit` digits parses, one more digit does not
+    assert run_command(["expand", "--beta", "3/2", "--s", f"1e-{limit - 1}", "--n", "3"]) == (0, "000", "")
+    assert run_command(["expand", "--beta", "3/2", "--s", f"1e-{limit}", "--n", "3"]) == (1, "", error)
+    assert bf.parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert bf.parse_rational("0e-100000000") == 0
+    base = json.dumps({"minpoly": [-1, -1, 1], "isolating": ["3/2", f"5e{limit}"]})
+    assert run_command(["expand", "--beta", base, "--s", "1", "--n", "4"]) == (1, "", error)
+
+
 # Help and usage output as printed when every subparser carried its
 # arguments on every call: sha256 of stdout and stderr at 80 columns.
 HELP_ARGVS = [["--help"]] + [[name, "--help"] for name in COMMANDS]

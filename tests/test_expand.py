@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import betaforge as bf
 from conftest import random_rational
-from oracles import delta_oracle, greedy_oracle, lazy_oracle
+from oracles import delta_oracle, greedy_oracle, landing_oracle, lazy_oracle
+from test_integer_coords import base, rand_value
 
 B32 = bf.RationalBeta(Fraction(3, 2))
 B2 = bf.RationalBeta(Fraction(2))
@@ -255,6 +256,26 @@ class TestLanding:
             if info.least_landing and info.least_landing >= 1:
                 # some iterate at or before the threshold still sits at or above 1
                 assert r >= 1
+
+
+@pytest.mark.parametrize(
+    "name", ["golden", "tribonacci", "sqrt2", "cbrt2", "3/2", "7/4", "9/5", "101/100"]
+)
+def test_landing_matches_the_loop(name, rng):
+    """The landing index from the least power past the ratio is the index of
+    the stepping loop, on random starts and on the exact ties beta^k = ratio,
+    r_k = (1 - (2 - beta) beta^-k) / (beta - 1), where iterate k sits at 1."""
+    spec, _, b = base(name)
+    beta = bf.beta_value(spec)
+    top = bf.expansion_domain_max(spec)
+    ties = [(1 - (2 - beta) / beta**k) / (beta - 1) for k in range(6)]
+    starts = [top * Fraction(rng.randrange(0, 1000), 1000) for _ in range(12)] + [rand_value(rng, spec, b)]
+    for r in ties + starts:
+        info = bf.landing_threshold(spec, r)
+        assert info.least_landing == landing_oracle(spec, r)
+        assert info.threshold < math.inf
+    # at a tie, iterate k is exactly 1, so the landing comes one step later
+    assert [bf.landing_threshold(spec, r).least_landing for r in ties] == list(range(1, 7))
 
 
 class TestBitStream:

@@ -8,8 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import betaforge as bf
-from betaforge.algebraic import _classes
-from betaforge.multivalued import _dfs_window
+from betaforge.algebraic import _window_walk
 from conftest import random_rational
 from oracles import (
     delta_oracle,
@@ -373,16 +372,12 @@ def test_window_walk_matches_the_exact_walk(name, data):
     # every caller's window meets [0, reach], and so must these
     assume(bf.exact_sign(hi) >= 0 and bf.exact_cmp(lo, reach) <= 0)
     words, values = dfs_window_exact(spec, n, lo, hi)
-    leaves, sign, rebuild = _dfs_window(spec, n, lo, hi, "window")
+    leaves, classes = _window_walk(spec, n, lo, hi, "window")
     leaves = list(leaves)
     assert [word for word, _ in leaves] == words
     expect = _by_exact_value(words, values)
-    for classes in (
-        _classes(leaves, sign, rebuild),
-        bf.partition_words(spec, words).classes,
-        bf.partition_words(spec, words, values).classes,
-    ):
-        assert [(repr(c.value), c.members) for c in classes] == expect
+    for got in (classes(leaves), bf.partition_words(spec, words).classes):
+        assert [(repr(c.value), c.members) for c in got] == expect
 
 
 class TestSetGuard:
@@ -401,6 +396,23 @@ class TestSetGuard:
         assert bf.enumerate_expansions(golden.beta, Fraction(1), 2) == ["01", "10", "11"]
         assert len(bf.g_beta_window(golden.beta, "11").classes) == 3
         assert bf.f_beta_to_2(degenerate(Fraction(3, 2)), "1000", 2).words == ("01", "10", "11")
+
+
+def test_window_walks_share_the_node_cap(golden, monkeypatch):
+    # every window walk counts its visited prefixes against the cap of the
+    # class search, and the error names the kind of walk
+    monkeypatch.setattr(bf.algebraic, "EQUIV_NODE_CAP", 10)
+    calls = [
+        ("expansion", bf.enumerate_expansions, Fraction(1), 6),
+        ("window", bf.g_beta_window, "110010"),
+        ("window", bf.f_2_to_beta, "1010"),
+    ]
+    for kind, call, *args in calls:
+        with pytest.raises(bf.SizeGuardError, match=f"^{kind} search visited more than 10 prefixes$"):
+            call(golden.beta, *args)
+    monkeypatch.setattr(bf.algebraic, "EQUIV_NODE_CAP", 1 << 21)
+    for _, call, *args in calls:
+        call(golden.beta, *args)
 
 
 class TestNuMeasure:
