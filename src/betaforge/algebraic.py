@@ -39,7 +39,7 @@ from .numerics import (
     _zelement,
     _zmul_beta,
 )
-from .expand import validate_bits, _inv
+from .expand import validate_bits
 
 __all__ = [
     "MinPolyData",
@@ -311,7 +311,7 @@ def _window_walk(beta: BetaSpec, n: int, lo_w: ExactReal, hi_w: ExactReal, kind:
     den, (lo, hi) = _zcoords(degree, (lo_w * scale, hi_w * scale))
 
     def classes(leaves):
-        return _classes(((word, map(add, e, hi)) for word, e in leaves), sign, b, _inv(den * scale))
+        return _classes(((word, map(add, e, hi)) for word, e in leaves), sign, b, 1 / (den * scale))
 
     return _walk(sign, levels, den, lo, hi, kind), classes
 
@@ -364,4 +364,4 @@ def partition_words(beta: BetaSpec, words: Sequence[str]) -> ClassPartition:
     if any(len(validate_bits(w)) != n for w in words):
         raise DomainError("all words in a partition must share one length")
     sign, vectors, _, scale = _weight_walk(beta, n, words)
-    return ClassPartition(n, _classes(zip(words, vectors), sign, beta_value(beta), _inv(scale)))
+    return ClassPartition(n, _classes(zip(words, vectors), sign, beta_value(beta), 1 / scale))

@@ -14,7 +14,8 @@ exact sign is taken only on near-ties.  A rational base steps Fractions.
 The exact-value cores take an exact base value b, a Fraction or a field
 element: `_word_value(b, bits)` behind `delta_finite` and `_tail(b, n)` =
 b^-n/(b-1) behind `tail_bound`, also used on converter approximants and
-window endpoints.
+window endpoints.  Both types answer 1 / b, so no core asks which one it
+holds to invert it.
 """
 
 from __future__ import annotations
@@ -139,14 +140,10 @@ class LandingInfo:
     least_landing: Optional[int]
 
 
-def _inv(x):
-    return Fraction(1) / x if isinstance(x, Fraction) else x.inverse()
-
-
 def expansion_domain_max(beta: BetaSpec) -> ExactReal:
     """Right endpoint 1/(beta-1) of the representable interval."""
     b = beta_value(beta)
-    return _inv(b - 1)
+    return 1 / (b - 1)
 
 
 def switch_region(beta: BetaSpec):
@@ -156,7 +153,7 @@ def switch_region(beta: BetaSpec):
 
 
 def _region(b):
-    return _inv(b), _inv(b * (b - 1))
+    return 1 / b, 1 / (b * (b - 1))
 
 
 def _side(sign, lo, hi) -> int:
@@ -266,13 +263,13 @@ def _orbit(b, r, n, rule, cuts=()):
 
 
 def _check_in_domain(b, s):
-    if exact_sign(s) < 0 or exact_cmp(s, _inv(b - 1)) > 0:
+    if exact_sign(s) < 0 or exact_cmp(s, 1 / (b - 1)) > 0:
         raise DomainError("value outside [0, 1/(beta-1)]")
 
 
 def _word_value(b: ExactReal, bits: str) -> ExactReal:
     """Exact value sum(bits[i] * b^-(i+1)) for an exact base value b."""
-    inv_b = _inv(b)
+    inv_b = 1 / b
     acc = b - b  # zero of the right type
     one = acc + 1
     for ch in reversed(bits):
@@ -294,7 +291,7 @@ def _delta2(bits: str) -> Fraction:
 
 def _tail(b: ExactReal, n: int) -> ExactReal:
     """b^-n / (b - 1) for the exact base value b."""
-    return _inv(b) ** n * _inv(b - 1)
+    return (1 / b) ** n / (b - 1)
 
 
 def tail_bound(beta: BetaSpec, n: int) -> ExactReal:
@@ -307,7 +304,7 @@ def greedy_prefix(beta: BetaSpec, r: ExactReal, n_digits: int):
     beta^n * (r - value(digits)), still inside [0, 1/(beta-1)]."""
     b = beta_value(beta)
     _check_in_domain(b, r)
-    return _orbit(b, r, n_digits, lambda i, sign, _: (sign(0) >= 0, None), (_inv(b),))
+    return _orbit(b, r, n_digits, lambda i, sign, _: (sign(0) >= 0, None), (1 / b,))
 
 
 def greedy_expand(beta: BetaSpec, s: ExactReal, n: int) -> str:
@@ -319,7 +316,7 @@ def lazy_expand(beta: BetaSpec, s: ExactReal, n: int) -> str:
     """n-digit prefix of the lexicographically minimal expansion of s."""
     b = beta_value(beta)
     _check_in_domain(b, s)
-    hi = _inv(b * (b - 1))
+    hi = 1 / (b * (b - 1))
     return _orbit(b, s, n, lambda i, sign, _: (sign(0) > 0, None), (hi,))[0]
 
 
@@ -351,7 +348,12 @@ def landing_threshold(beta: BetaSpec, r: ExactReal) -> LandingInfo:
     infinite and the landing index is None.  Below it, with F = 1/(beta-1),
     the iterates x_k = beta*x_(k-1) - 1 satisfy x_k - F = beta^k (r - F), so
     x_k < 1 exactly when beta^k > ratio = (2-beta)/(1-(beta-1)r), and ratio
-    > 0: the landing index is the least power past ratio.
+    > 0: the landing index is the least power past ratio.  The threshold is
+    log(ratio)/log(beta) in floats.  log(ratio) is taken from a rational: on
+    a field base, the midpoint of a 2^-80 enclosure, the one float(ratio)
+    rounds.  Past the float range, it is the log of the numerator minus that
+    of the denominator, so the threshold stays finite however near r lies
+    to the fixed point.
     """
     b = beta_value(beta)
     if isinstance(b, Fraction) and b == 2:
@@ -364,4 +366,11 @@ def landing_threshold(beta: BetaSpec, r: ExactReal) -> LandingInfo:
     least = _least_power(b, ratio)
     if exact_cmp(b**least, ratio) == 0:  # beta^least = ratio is no landing yet
         least += 1
-    return LandingInfo(math.log(exact_float(ratio)) / math.log(exact_float(b)), least)
+    if not isinstance(ratio, Fraction):
+        lo, hi = ratio.enclosure(Fraction(1, 1 << 80))
+        ratio = (lo + hi) / 2
+    try:
+        log_ratio = math.log(ratio)
+    except (OverflowError, ValueError):  # float(ratio) overflows, or underflows to 0
+        log_ratio = math.log(ratio.numerator) - math.log(ratio.denominator)
+    return LandingInfo(log_ratio / math.log(exact_float(b)), least)

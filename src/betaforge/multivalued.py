@@ -42,7 +42,7 @@ from .numerics import (
     exact_floor,
     _least_power,
 )
-from .expand import delta_finite, tail_bound, validate_bits, _check_in_domain, _delta2, _inv, _tail, _word_value
+from .expand import delta_finite, tail_bound, validate_bits, _check_in_domain, _delta2, _tail, _word_value
 from .algebraic import ClassPartition, _window_walk
 
 __all__ = [
@@ -122,7 +122,7 @@ def f_beta_to_2(beta_window: Interval, x: str, n: int) -> CandidateSet:
     pad = Fraction(1, 1 << n)
     v_at_b2 = _word_value(b2, x)
     v_at_b1 = v_at_b2 if degenerate else _word_value(b1, x)
-    tail = pad * _inv(b1 - 1) if degenerate else _tail(b1, required)
+    tail = pad / (b1 - 1) if degenerate else _tail(b1, required)
     window = Interval(v_at_b2 - pad, v_at_b1 + tail)
     scale = 1 << n
     k_lo = max(0, _ceil_exact((window.lo - pad) * scale))
@@ -137,11 +137,11 @@ def f_beta_to_2(beta_window: Interval, x: str, n: int) -> CandidateSet:
 def _window_table(b: ExactReal, length: int):
     """inv_pows[i] = beta^-i, the value of a 1 in place i, and remaining[i],
     the largest value the digits after place i can add, for i = 0..length."""
-    inv_b = _inv(b)
+    inv_b = 1 / b
     inv_pows = [inv_b - inv_b + 1]
     for _ in range(length):
         inv_pows.append(inv_pows[-1] * inv_b)
-    tail_factor = _inv(b - 1)
+    tail_factor = 1 / (b - 1)
     remaining = [(inv_pows[i] - inv_pows[length]) * tail_factor for i in range(length + 1)]
     return inv_pows, remaining
 

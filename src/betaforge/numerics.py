@@ -6,11 +6,12 @@ and elements of a real number field Q(beta) given by an integer minimal
 polynomial plus an isolating interval.  A field element is stored as integer
 coordinates over one positive denominator in lowest terms, (num, den) with
 value sum(num[j] * beta^j) / den, so field arithmetic is integer vector
-arithmetic and a sign needs no rescaling.  Signs and enclosures come from
-one integer interval evaluator over root brackets bisected afresh from the
-isolating interval, so they do not depend on what ran before; bounds that
-straddle 0 and are narrower than the resultant bound on a nonzero element
-prove the polynomial reducible.
+arithmetic, an inverse solves one linear system on the integer columns of
+multiplication, and a sign takes the integer vector as it is.  Signs and
+enclosures come from one integer interval evaluator over root brackets
+bisected afresh from the isolating interval, so they do not depend on what
+ran before; bounds that straddle 0 and are narrower than the resultant
+bound on a nonzero element prove the polynomial reducible.
 """
 
 from __future__ import annotations
@@ -85,12 +86,15 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p/q", an integer literal, or a decimal string, exactly.
 
     A numerator or denominator of more than sys.get_int_max_str_digits()
-    digits, the limit format_rational prints against, is a SizeGuardError.
-    A decimal m * 10^k is decided before the power of ten is built: for a
-    nonzero m written in L characters, 10^(|k| - L) bounds the numerator
-    (k > 0) or the denominator (k < 0) from below."""
+    digits, the limit format_rational prints against, is a SizeGuardError,
+    and so is a run of more digits than that in the text, which int() would
+    refuse.  A decimal m * 10^k is decided before the power of ten is built:
+    for a nonzero m written in L characters, 10^(|k| - L) bounds the
+    numerator (k > 0) or the denominator (k < 0) from below."""
     text = text.strip()
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and any(len(run) - run.count("_") > limit for run in re.findall(r"\d[\d_]*", text)):
+        raise SizeGuardError(f"number too long to parse: more than {limit} digits")
     try:
         decimal = re.fullmatch(r"(.*)[eE]([-+]?\d+(?:_\d+)*)", text) if limit else None
         if decimal is None:
@@ -252,10 +256,10 @@ class NumberFieldContext:
                 hi += x * ph
         return lo, hi
 
-    def sign_of_coeffs(self, coeffs) -> int:
-        """Certified sign of sum(coeffs[i] * root^i), for `degree` coefficients;
-        exact zero only for the zero coefficient vector.  All-int input is
-        evaluated as given; Fraction coefficients are first scaled to integers.
+    def sign_of_coeffs(self, coeffs: Sequence[int]) -> int:
+        """Certified sign of sum(coeffs[i] * root^i) for an integer coordinate
+        vector of `degree` ints; exact zero only for the zero vector.  A field
+        element's sign is this sign of its `num`.
 
         The sign is read from `filter_bounds` at FILTER_BITS fractional bits,
         then at twice as many, and so on, until the bounds exclude 0.  For a
@@ -264,25 +268,19 @@ class NumberFieldContext:
         so |P(root)| >= (|P|_1 * |f|_2)^-(d-1).  Bounds that straddle 0 and
         are narrower than that bound therefore prove f reducible, and raise
         MalformedContextError."""
-        ints = coeffs
-        for c in coeffs:
-            if type(c) is not int:
-                den = lcm(*(f.denominator for f in coeffs if isinstance(f, Fraction)))
-                ints = [f.numerator * (den // f.denominator) if isinstance(f, Fraction) else f * den for f in coeffs]
-                break
-        if not any(ints[1:]):
-            c = ints[0]
+        if not any(coeffs[1:]):
+            c = coeffs[0]
             return (c > 0) - (c < 0)
         bits = FILTER_BITS
         norm = 0
         while True:
-            lo, hi = self.filter_bounds(ints, bits)
+            lo, hi = self.filter_bounds(coeffs, bits)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
             if not norm:
-                l1 = sum(abs(c) for c in ints)
+                l1 = sum(abs(c) for c in coeffs)
                 norm = (l1 * l1 * sum(c * c for c in self.minpoly)) ** (self.degree - 1)
             # width 2^-bits * w below the bound, squared to stay in the
             # integers; the bit lengths rule most levels out without the product
@@ -346,8 +344,9 @@ class NumberFieldElement:
     positive denominator `den`, in lowest terms: gcd(den, *num) = 1, and
     zero is ((0, ..., 0), 1).  The form is unique, so equality and hashing
     compare (num, den); addition is one integer vector pass, multiplication
-    an integer convolution reduced by the context's integer rows, and the
-    sign evaluates `num` directly.  `coeffs` gives the same element as a
+    an integer convolution reduced by the context's integer rows, the
+    inverse one elimination on the integer columns of multiplication, and
+    the sign evaluates `num` directly.  `coeffs` gives the same element as a
     tuple of d Fractions, the form the constructor also accepts.
 
     Immutable.  Comparisons go through certified sign determination.  Mixed
@@ -383,9 +382,8 @@ class NumberFieldElement:
 
     @classmethod
     def generator(cls, ctx: NumberFieldContext) -> "NumberFieldElement":
-        if ctx.degree == 1:
-            # beta is rational: -c0/c1
-            return cls(ctx, (Fraction(-ctx.minpoly[0], ctx.minpoly[1]),))
+        if ctx.degree == 1:  # beta is rational: -c0/c1
+            return _zelement(ctx, ctx.minpoly[1], (-ctx.minpoly[0],))
         return _zelement(ctx, 1, (0, 1) + (0,) * (ctx.degree - 2))
 
     def _coerce(self, other):
@@ -466,29 +464,35 @@ class NumberFieldElement:
         return result
 
     def inverse(self) -> "NumberFieldElement":
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
+        """Multiplicative inverse y = sum(t_j * (a*beta)^j), a the leading
+        coefficient: x*y = 1 is solved for the t_j by Gauss-Jordan
+        elimination in the integers on the columns (a*beta)^j * num,
+        j < degree, that `_zmul_beta` builds, each row kept primitive.  A
+        nonzero x whose system is singular is a zero divisor, so the minimal
+        polynomial is reducible: MalformedContextError."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        # gcd(minpoly, self-as-poly) over Q[x]; minpoly irreducible => gcd = 1
-        f = [Fraction(c) for c in self.ctx.minpoly]
-        g = list(self.coeffs)
-        while len(g) > 1 and not g[-1]:
-            g.pop()
-        # invariants: s*self + t*minpoly = r  (t never needed)
-        r0, r1 = f, g
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while len(r1) > 1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1 and not r1[0]:
+        ctx = self.ctx
+        d, poly = ctx.degree, ctx.minpoly
+        cols = [list(self.num)]
+        for _ in range(d - 1):
+            cols.append(_zmul_beta(poly, cols[-1]))
+        # row i of sum(t_j * cols[j]) = den * e_0, augmented by its right side
+        rows = [[c[i] for c in cols] + [self.den if i == 0 else 0] for i in range(d)]
+        for j in range(d):
+            p = next((i for i in range(j, d) if rows[i][j]), None)
+            if p is None:
                 raise MalformedContextError("minimal polynomial is reducible")
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                coeffs = [c * inv for c in s1] + [Fraction(0)] * self.ctx.degree
-                return NumberFieldElement(self.ctx, coeffs[: self.ctx.degree])
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+            rows[j], rows[p] = rows[p], rows[j]
+            pivot = rows[j]
+            for i in range(d):
+                c = rows[i][j]
+                if i != j and c:
+                    row = [pivot[j] * x - c * y for x, y in zip(rows[i], pivot)]
+                    g = gcd(*row)
+                    rows[i] = [x // g for x in row] if g > 1 else row
+        a = poly[-1]
+        return NumberFieldElement(ctx, [Fraction(a**j * rows[j][d], rows[j][j]) for j in range(d)])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -529,16 +533,11 @@ class NumberFieldElement:
         return float((lo + hi) / 2)
 
     def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, NumberFieldElement) else other
-        if o is None or not isinstance(o, NumberFieldElement):
+        if isinstance(other, (int, Fraction)):
+            other = NumberFieldElement.from_rational(self.ctx, other)
+        elif not isinstance(other, NumberFieldElement):
             return NotImplemented
-        if o.ctx is not self.ctx:
-            return False
-        return self.num == o.num and self.den == o.den
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
+        return other.ctx is self.ctx and self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((id(self.ctx), self.num, self.den))
@@ -578,38 +577,6 @@ def _zelement(ctx: NumberFieldContext, den: int, v: Sequence[int]) -> NumberFiel
     _set_num(e, tuple(v) if g == 1 else tuple(x // g for x in v))
     _set_den(e, den // g)
     return e
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(1, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] / lb
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-    while len(a) > 1 and not a[-1]:
-        a.pop()
-    return q, a
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    for i, bi in enumerate(b):
-        a[i] -= bi
-    return a
 
 
 ExactReal = Union[Fraction, NumberFieldElement]

@@ -60,74 +60,45 @@ def _split_bar(raw: str):
     return body, raw[2 * m + 1 :]
 
 
-def _try_decode(raw: str, arity: int, item_length: Optional[int]):
-    if arity == 1:
-        parts = _split_bar(raw)
-        if parts is None or parts[1]:
-            return None
-        if item_length is not None and len(parts[0]) != item_length:
-            return None
-        return [parts[0]]
-    parts = _split_bar(raw)
-    if parts is None:
-        return None
-    inner, last = parts
-    if item_length is not None and len(last) != item_length:
-        return None
-    if arity == 2:
-        if item_length is not None and len(inner) != item_length:
-            return None
-        return [inner, last]
-    head = _try_decode(inner, arity - 1, item_length)
-    return None if head is None else head + [last]
-
-
 def decode_pairing(raw: str, arity: Optional[int] = None, item_length: Optional[int] = None) -> list[str]:
     """Inverse of encode_pairing.
 
-    With `arity` given, the left-nested structure is unfolded exactly that
-    many times.  Without it, the arity is inferred by requiring all items to
-    share one length (the canonical use for encoded prefix sets); for
-    nonempty items this parse is unique, and the degenerate collisions caused
-    by empty items resolve to the fewest items.
+    Every left-nested parse lies on the one chain of peels of the code:
+    after j peels it is [inner] plus the j peeled items, and a first peel
+    that leaves nothing also gives the single item [inner].  With `arity`
+    given, the parse of exactly that many items is returned.  Without it,
+    the arity is inferred by requiring all items to share one length (the
+    canonical use for encoded prefix sets); for nonempty items this parse is
+    unique, and the degenerate collisions caused by empty items resolve to
+    the fewest items.
     """
     if raw.strip("01"):
         raise MalformedEncodingError("encoding must be a bitstring")
-    if arity is not None:
-        got = _try_decode(raw, arity, item_length)
-        if got is None:
-            raise MalformedEncodingError(f"{raw!r} is not a valid {arity}-item encoding")
-        return got
-    if item_length is not None and item_length < 0:
+    if arity is None and item_length is not None and item_length < 0:
         raise MalformedEncodingError(f"item length must be nonnegative, got {item_length}")
-    total = len(raw)
-    parses = []
-    lengths = [item_length] if item_length is not None else range(total + 1)
-    for ln in lengths:
-        # total lengths: 2L+1 for one item, (2^k - 1)L + 2^(k-1) - 1 for k >= 2
-        if total == 2 * ln + 1:
-            got = _try_decode(raw, 1, ln)
-            if got is not None:
-                parses.append(got)
-        k = 2
-        while ((1 << k) - 1) * ln + (1 << (k - 1)) - 1 <= total:
-            if ((1 << k) - 1) * ln + (1 << (k - 1)) - 1 == total:
-                got = _try_decode(raw, k, ln)
-                if got is not None:
-                    parses.append(got)
-            k += 1
-            if ln == 0 and k > total + 2:
-                break
-    unique = {tuple(p) for p in parses}
-    if not unique:
+    parses = []  # in increasing arity, one parse per arity
+    peeled = []
+    parts = _split_bar(raw)
+    if parts is not None and not parts[1]:
+        parses.append([parts[0]])
+    while parts is not None:
+        inner, last = parts
+        peeled.insert(0, last)
+        parses.append([inner] + peeled)
+        parts = _split_bar(inner)
+    if item_length is not None:
+        parses = [p for p in parses if all(len(x) == item_length for x in p)]
+    if arity is not None:
+        got = [p for p in parses if len(p) == arity]
+        if not got:
+            raise MalformedEncodingError(f"{raw!r} is not a valid {arity}-item encoding")
+        return got[0]
+    parses = [p for p in parses if len(set(map(len, p))) == 1]
+    if not parses:
         raise MalformedEncodingError(f"{raw!r} does not decode as an equal-length pairing")
-    if len(unique) > 1:
-        nonempty = {p for p in unique if all(p)}
-        if len(nonempty) == 1:
-            return list(nonempty.pop())
-        min_arity = min(len(p) for p in unique)
-        shortest = {p for p in unique if len(p) == min_arity}
-        if len(shortest) == 1:
-            return list(shortest.pop())
-        raise MalformedEncodingError(f"{raw!r} is ambiguous; pass an explicit arity")
-    return list(unique.pop())
+    # at most two parses remain: the single item [inner] and one of two or
+    # more items (two of those share their last item's length L, and the
+    # shorter one's first item is 3L + 1 or more characters long).  Where
+    # [inner] is [""], raw is "0" and the other is ["", ""], so the fewest
+    # items is also the one all-nonempty parse wherever there is one
+    return parses[0]

@@ -17,7 +17,12 @@ element arithmetic and the certified sign evaluator; they check
 `canonical.m_beta_fast` and `algebraic._window_walk`.  The batched class
 search `equiv_class_batched` shares the package's integer frame,
 `algebraic._weight_walk`, but not the package's depth-first walk, and
-checks `algebraic.equiv_class`.
+checks `algebraic.equiv_class`.  `inverse_euclid`, the extended Euclidean
+algorithm over Fraction polynomials in Q[x], checks
+`NumberFieldElement.inverse` (`FractionElement.inverse` also eliminates on
+the matrix of multiplication).  `decode_pairing_by_lengths`, the decoder
+that tries every item length and arity with its closed-form code length,
+checks `pairing.decode_pairing`, with which it shares only `_split_bar`.
 """
 
 import functools
@@ -25,6 +30,7 @@ import math
 from fractions import Fraction
 
 import betaforge as bf
+from betaforge.pairing import MalformedEncodingError, _split_bar
 
 
 def greedy_oracle(beta: Fraction, s: Fraction, n: int) -> str:
@@ -648,3 +654,108 @@ def equiv_class_batched(beta, x):
                 children.append((d, word + "0"))
         stack.extend((i + 1, children[k : k + 256]) for k in range(0, len(children), 256))
     return sorted(out)
+
+
+def inverse_euclid(x):
+    """x^-1 for a nonzero field element x, from the extended Euclidean
+    algorithm over Q[x] on the minimal polynomial f and x as a polynomial
+    g: s*g + t*f = r runs down to a constant r, and x^-1 = s/r.  A zero
+    remainder means gcd(f, g) is not constant, so f is reducible."""
+
+    def trim(p):
+        while len(p) > 1 and not p[-1]:
+            p.pop()
+        return p
+
+    def divmod_(a, b):
+        a = list(a)
+        db = len(b) - 1
+        q = [Fraction(0)] * max(1, len(a) - db)
+        for i in range(len(a) - 1, db - 1, -1):
+            c = a[i] / b[-1]
+            if c:
+                q[i - db] = c
+                for j in range(db + 1):
+                    a[i - db + j] -= c * b[j]
+        return q, trim(a)
+
+    def mul(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+        return out
+
+    def sub(a, b):
+        out = list(a) + [Fraction(0)] * (len(b) - len(a))
+        for i, bi in enumerate(b):
+            out[i] -= bi
+        return out
+
+    ctx = x.ctx
+    r0, r1 = [Fraction(c) for c in ctx.minpoly], trim(list(x.coeffs))
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while len(r1) > 1:
+        q, rem = divmod_(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, sub(s0, mul(q, s1))
+    if not r1[0]:
+        raise bf.MalformedContextError("minimal polynomial is reducible")
+    coeffs = [c / r1[0] for c in s1] + [Fraction(0)] * ctx.degree
+    return bf.NumberFieldElement(ctx, coeffs[: ctx.degree])
+
+
+def _decode_arity(raw, arity, item_length):
+    parts = _split_bar(raw)
+    if parts is None:
+        return None
+    inner, last = parts
+    if arity == 1:
+        if last or (item_length is not None and len(inner) != item_length):
+            return None
+        return [inner]
+    if item_length is not None and len(last) != item_length:
+        return None
+    if arity == 2:
+        if item_length is not None and len(inner) != item_length:
+            return None
+        return [inner, last]
+    head = _decode_arity(inner, arity - 1, item_length)
+    return None if head is None else head + [last]
+
+
+def decode_pairing_by_lengths(raw, arity=None, item_length=None):
+    """`pairing.decode_pairing` by search: with no arity, every item length
+    L and every arity k whose code length, 2L+1 for one item and
+    (2^k - 1)L + 2^(k-1) - 1 for k >= 2, is len(raw), each decoded
+    recursively; ties go to the one all-nonempty parse, else the fewest
+    items."""
+    if raw.strip("01"):
+        raise MalformedEncodingError("encoding must be a bitstring")
+    if arity is not None:
+        got = _decode_arity(raw, arity, item_length)
+        if got is None:
+            raise MalformedEncodingError(f"{raw!r} is not a valid {arity}-item encoding")
+        return got
+    if item_length is not None and item_length < 0:
+        raise MalformedEncodingError(f"item length must be nonnegative, got {item_length}")
+    total = len(raw)
+    parses = []
+    for ln in [item_length] if item_length is not None else range(total + 1):
+        if total == 2 * ln + 1:
+            parses.append(_decode_arity(raw, 1, ln))
+        k = 2
+        while ((1 << k) - 1) * ln + (1 << (k - 1)) - 1 <= total:
+            if ((1 << k) - 1) * ln + (1 << (k - 1)) - 1 == total:
+                parses.append(_decode_arity(raw, k, ln))
+            k += 1
+    unique = {tuple(p) for p in parses if p is not None}
+    if not unique:
+        raise MalformedEncodingError(f"{raw!r} does not decode as an equal-length pairing")
+    nonempty = {p for p in unique if all(p)}
+    if len(nonempty) == 1:
+        return list(nonempty.pop())
+    shortest = {p for p in unique if len(p) == min(map(len, unique))}
+    if len(shortest) > 1:
+        raise MalformedEncodingError(f"{raw!r} is ambiguous; pass an explicit arity")
+    return list(shortest.pop())

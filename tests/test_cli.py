@@ -15,6 +15,7 @@ import betaforge as bf
 from betaforge import cli
 from betaforge.cli import COMMANDS, parse_tosses, run_command
 from betaforge.pairing import PAIRING_CAP, decode_pairing, encode_pairing
+from oracles import decode_pairing_by_lengths
 
 TABLE1 = {
     "2": "11000000000000000000000000000000000000000000000000",
@@ -74,6 +75,24 @@ class TestPairing:
         # no (2^k - 1) L + 2^(k-1) - 1 reaches the code length for L < 0
         with pytest.raises(bf.MalformedEncodingError, match="nonnegative"):
             decode_pairing("1001", item_length=-1)
+
+    def test_peel_chain_matches_the_search_over_lengths(self):
+        """Every code of up to 12 characters, with every arity and item
+        length around them: the same parse or the same error message."""
+
+        def outcome(decode, *args):
+            try:
+                return decode(*args)
+            except bf.MalformedEncodingError as exc:
+                return str(exc)
+
+        for n in range(13):
+            for k in range(1 << n):
+                raw = format(k, f"0{n}b") if n else ""
+                for arity in (None, 0, 1, 2, 3, 4, 5):
+                    for item_length in (None, -1, 0, 1, 2, 3, 4):
+                        args = (raw, arity, item_length)
+                        assert outcome(decode_pairing, *args) == outcome(decode_pairing_by_lengths, *args), args
 
 
 class TestSubcommands:
@@ -506,6 +525,8 @@ def test_rationals_at_the_digit_limit():
     # a denominator of `limit` digits parses, one more digit does not
     assert run_command(["expand", "--beta", "3/2", "--s", f"1e-{limit - 1}", "--n", "3"]) == (0, "000", "")
     assert run_command(["expand", "--beta", "3/2", "--s", f"1e-{limit}", "--n", "3"]) == (1, "", error)
+    # a digit run int() would refuse, decided from the text
+    assert run_command(["expand", "--beta", "3/2", "--s", "1/" + "1" * (limit + 1), "--n", "3"]) == (1, "", error)
     assert bf.parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
     assert bf.parse_rational("0e-100000000") == 0
     base = json.dumps({"minpoly": [-1, -1, 1], "isolating": ["3/2", f"5e{limit}"]})

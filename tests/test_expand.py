@@ -227,6 +227,13 @@ class TestLanding:
         assert info.least_landing == 6
         assert 5.6 < info.threshold < 5.8
 
+    def test_base_within_a_float_of_two(self):
+        # ratio = 2 - beta = 10^-400 underflows a float
+        beta = bf.RationalBeta(2 - Fraction(1, 10**400))
+        info = bf.landing_threshold(beta, Fraction(0))
+        assert info.least_landing == 0
+        assert math.isclose(info.threshold, -400 * math.log(10) / math.log(2), rel_tol=1e-12)
+
     def test_landing_agrees_with_iteration(self, rng):
         for _ in range(25):
             beta = Fraction(rng.randrange(105, 195), 100)
@@ -273,9 +280,24 @@ def test_landing_matches_the_loop(name, rng):
     for r in ties + starts:
         info = bf.landing_threshold(spec, r)
         assert info.least_landing == landing_oracle(spec, r)
-        assert info.threshold < math.inf
+        ratio = (2 - beta) / (1 - (beta - 1) * r)
+        assert info.threshold == math.log(float(ratio)) / math.log(float(beta))
     # at a tie, iterate k is exactly 1, so the landing comes one step later
     assert [bf.landing_threshold(spec, r).least_landing for r in ties] == list(range(1, 7))
+
+
+@pytest.mark.parametrize("name", ["3/2", "golden"])
+def test_landing_within_a_float_of_the_fixed_point(name):
+    """r = 1/(beta-1) - 10^-400 makes ratio = (2-beta)/((beta-1) 10^-400),
+    past the float range: the threshold is still log(ratio)/log(beta), and
+    the landing index is still exact."""
+    spec, _, b = base(name)
+    beta = bf.beta_value(spec)
+    r = bf.expansion_domain_max(spec) - Fraction(1, 10**400)
+    info = bf.landing_threshold(spec, r)
+    log_ratio = math.log((2 - b) / (b - 1)) + 400 * math.log(10)
+    assert math.isclose(info.threshold, log_ratio / math.log(b), rel_tol=1e-12)
+    assert info.least_landing == landing_oracle(spec, r) == math.floor(info.threshold) + 1
 
 
 class TestBitStream:

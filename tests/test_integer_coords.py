@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import betaforge as bf
-from betaforge.numerics import NumberFieldContext, _zcoords, _zdiv_beta, _zelement, _zmul_beta
+from betaforge.numerics import NumberFieldContext, NumberFieldElement, _zcoords, _zdiv_beta, _zelement, _zmul_beta
 from oracles import (
     adc_run_elements,
     greedy_prefix_elements,
@@ -226,6 +226,6 @@ def test_integer_signs_match_rational_signs(tribonacci):
     for _ in range(50):
         den = rng.randrange(1, 1000)
         v = [rng.randrange(-10**9, 10**9) for _ in range(3)]
-        assert ctx.sign_of_coeffs(v) == ctx.sign_of_coeffs([Fraction(x, den) for x in v])
+        assert ctx.sign_of_coeffs(v) == NumberFieldElement(ctx, [Fraction(x, den) for x in v]).sign()
     assert ctx.sign_of_coeffs([0, 0, 0]) == 0
     assert ctx.sign_of_coeffs([-5, 0, 0]) == -1

@@ -7,6 +7,20 @@ from hypothesis import strategies as st
 
 import betaforge as bf
 from betaforge.numerics import NumberFieldContext, NumberFieldElement, format_rational
+from oracles import inverse_euclid
+
+
+# golden, tribonacci, sqrt2, cbrt2, (1 + sqrt 3)/2 (not monic), x^4 - x - 1
+# and a degree-1 context, 3/2
+INVERSE_CONTEXTS = {
+    "golden": bf.get_preset("golden").beta.ctx,
+    "tribonacci": bf.get_preset("tribonacci").beta.ctx,
+    "sqrt2": bf.get_preset("sqrt2").beta.ctx,
+    "cbrt2": bf.get_preset("cbrt2").beta.ctx,
+    "nonmonic": NumberFieldContext([-1, -2, 2], (Fraction(13, 10), Fraction(7, 5))),
+    "quartic": NumberFieldContext([-1, -1, 0, 0, 1], (Fraction(6, 5), Fraction(5, 4))),
+    "degree1": NumberFieldContext([-3, 2], (Fraction(5, 4), Fraction(7, 4))),
+}
 
 
 def make_golden_ctx():
@@ -54,6 +68,30 @@ class TestNumberFieldSign:
         assert g * g.inverse() == 1
         # 1/G = G - 1 in the golden field
         assert g.inverse() == g - 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(INVERSE_CONTEXTS)),
+        coords=st.lists(st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**6), min_size=4, max_size=4),
+    )
+    def test_inverse_matches_euclid(self, name, coords):
+        ctx = INVERSE_CONTEXTS[name]
+        x = NumberFieldElement(ctx, coords[: ctx.degree])
+        if x.is_zero():
+            return
+        y = x.inverse()
+        assert y == inverse_euclid(x)
+        assert x * y == 1
+
+    def test_zero_divisors_prove_reducible(self):
+        # x^3 - 4x^2 + 2x + 3 = (x - 3)(x^2 - x - 1), isolating the golden root
+        ctx = NumberFieldContext([3, 2, -4, 1], (Fraction(3, 2), Fraction(5, 3)))
+        g = NumberFieldElement.generator(ctx)
+        for x in (g * g - g - 1, g - 3):
+            with pytest.raises(bf.MalformedContextError, match="reducible"):
+                x.inverse()
+            with pytest.raises(bf.MalformedContextError, match="reducible"):
+                1 / x
 
     def test_shared_context_across_threads(self):
         import threading
@@ -179,6 +217,19 @@ class TestFloorsAndParsing:
         assert bf.parse_rational("2") == Fraction(2)
         with pytest.raises(bf.DomainError):
             bf.parse_rational("x")
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str limit")
+    def test_parse_rational_digit_runs_past_the_limit(self):
+        limit = sys.get_int_max_str_digits()
+        for text in ("1" * (limit + 1), "1/" + "1" * (limit + 1), "0." + "1" * (limit + 1), f"1e{limit}",
+                     "0" * (limit + 1), "1_" * limit + "1", "1e" + "1" * (limit + 1)):
+            with pytest.raises(bf.SizeGuardError, match=f"^number too long to parse: more than {limit} digits$"):
+                bf.parse_rational(text)
+        # runs of `limit` digits still parse as before
+        assert bf.parse_rational("1" * limit) == int("1" * limit)
+        assert bf.parse_rational("1/" + "0" * (limit - 1) + "7") == Fraction(1, 7)
+        assert bf.parse_rational("0." + "0" * (limit - 1) + "5") == Fraction(5, 10**limit)
+        assert bf.parse_rational("1_" * (limit - 1) + "1") == int("1" * limit)  # underscores are no digits
 
     def test_interval_order_enforced(self):
         with pytest.raises(bf.DomainError):
