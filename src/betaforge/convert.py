@@ -1,8 +1,10 @@
 """Binary-to-beta converters that read a binary expansion prefix and emit
 digit chunks of an expansion of the same value in base beta.
 
-Two drivers share one chunk engine.  For a rational base the schedule
-(chunk size N, binary read lengths Sigma_i) is computed once from beta.  For
+Two converters share one chunk engine.  For a rational base p/q the chunk size
+N is computed once from beta, and the binary read lengths Sigma_i follow
+from the running integers p^(N*i) and q^(N*i), which also scale each
+injected slice; the chunks are stepped on the integer orbit of `expand`.  For
 a base known only through the digit stream of beta - 1, the driver refines a
 dyadic approximant per chunk and also carries a correction term for the error
 committed by emitting earlier chunks against coarser approximants; the
@@ -19,9 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numerics import (
+    BIT_BUDGET,
     AlgebraicBeta,
     BetaForgeError,
     BetaSpec,
+    BudgetExceededError,
     DomainError,
     RationalBeta,
     StreamBeta,
@@ -32,7 +36,7 @@ from .numerics import (
     floor_log2,
     _least_power,
 )
-from .expand import greedy_prefix, validate_bits, _delta2, _tail, _word_value
+from .expand import greedy_prefix, validate_bits, _delta2, _greedy_rule, _orbit, _tail, _word_value
 
 __all__ = [
     "InsufficientBitsError",
@@ -68,13 +72,22 @@ class InvariantViolation(BetaForgeError):
     """A converter step left its certified containment region."""
 
 
+def _ceil_log2_ratio(num: int, den: int) -> int:
+    """Least m with 2^m * den >= num, for positive integers: the bit lengths
+    put it at m or m + 1, and one shifted comparison decides."""
+    m = num.bit_length() - den.bit_length()
+    lhs, rhs = (den << m, num) if m >= 0 else (den, num << -m)
+    return m if lhs >= rhs else m + 1
+
+
 @dataclass(frozen=True)
 class RationalConvParams:
     """Chunk size and binary read schedule for a rational base in (1, 2).
 
     sigma(0) = 0 and sigma is strictly increasing; sigma(i) is clamped up to
     at least i, since the derived formula is only a lower bound and can dip
-    below zero for bases close to 1.
+    below zero for bases close to 1.  With beta = p/q, sigma(i) takes
+    ceil(N*i*log2(beta)) from the integers p^(N*i) and q^(N*i).
     """
 
     beta: Fraction
@@ -86,8 +99,20 @@ class RationalConvParams:
             raise DomainError("schedule index must be nonnegative")
         if i == 0:
             return 0
-        lead, _ = exact_log2_bounds(self.beta, self.N * i)
-        return max(i, lead + self.sigma_offset)
+        return self._sigma(i, *self._powers(i))
+
+    def _powers(self, i: int) -> tuple[int, int]:
+        """(p^(N*i), q^(N*i)) for beta = p/q, under the bit budget that
+        `exact_log2_bounds` puts on beta^(N*i)."""
+        k = self.N * i
+        p, q = self.beta.numerator, self.beta.denominator
+        if k * (p.bit_length() + q.bit_length()) > BIT_BUDGET:
+            raise BudgetExceededError(f"a^{k} would exceed the {BIT_BUDGET}-bit budget")
+        return p**k, q**k
+
+    def _sigma(self, i: int, big_p: int, big_q: int) -> int:
+        """sigma(i) for i >= 1, given big_p / big_q = beta^(N*i)."""
+        return max(i, _ceil_log2_ratio(big_p, big_q) + self.sigma_offset)
 
 
 def params_rational(beta: RationalBeta) -> RationalConvParams:
@@ -115,7 +140,11 @@ def convert_rational(beta: RationalBeta, binary_prefix: str, n: int) -> Rational
     N*n digits of an expansion of the same value in base beta.
 
     Each step injects the next binary slice, checks the carried sum stays in
-    [0, beta/(2*(beta-1))], and emits the greedy chunk of the sum.
+    [0, beta/(2*(beta-1))], and emits the greedy chunk of the sum.  With
+    beta = p/q, the running integers P = p^(N*i) and Q = q^(N*i) give both
+    sigma(i+1) and the injection P*s / (Q*2^sigma(i+1)) of the slice s
+    between sigma(i) and sigma(i+1).  The carry cap lies below 1/(beta-1),
+    so each chunk steps the greedy orbit with no further domain check.
     """
     params = params_rational(beta)
     b, n_chunk = params.beta, params.N
@@ -125,25 +154,30 @@ def convert_rational(beta: RationalBeta, binary_prefix: str, n: int) -> Rational
     last = params.sigma(n)  # sigma increases: check before building the schedule
     if len(binary_prefix) < last:
         raise InsufficientBitsError("binary", last)
-    sigmas = [params.sigma(i) for i in range(n)] + [last]
+    step_p, step_q = b.numerator**n_chunk, b.denominator**n_chunk
+    big_p = big_q = 1  # beta^(N*i) = big_p / big_q
+    lo = 0  # sigma(i)
     carry_cap = (b / 2) / (b - 1)
+    cuts = (1 / b,)
     residual = Fraction(0)
     residuals = [residual]
     out = []
     for i in range(n):
-        step_slice = binary_prefix[sigmas[i] : sigmas[i + 1]]
-        injected = b ** (n_chunk * i) / Fraction(1 << sigmas[i]) * _delta2(step_slice)
+        next_p, next_q = big_p * step_p, big_q * step_q
+        hi = params._sigma(i + 1, next_p, next_q)
+        injected = Fraction(big_p * int(binary_prefix[lo:hi], 2), big_q << hi)
         total = residual + injected
         if not (0 <= total <= carry_cap):
             raise InvariantViolation(
                 f"step {i}: carried sum {total} outside [0, {carry_cap}]; "
                 f"residual={residual} injected={injected} beta={b}"
             )
-        chunk, residual = greedy_prefix(beta, total, n_chunk)
+        chunk, residual = _orbit(b, total, n_chunk, _greedy_rule, cuts)
         if not (0 <= residual <= 1):
             raise InvariantViolation(f"step {i}: residual {residual} left [0, 1]")
         out.append(chunk)
         residuals.append(residual)
+        big_p, big_q, lo = next_p, next_q, hi
     return RationalConversion("".join(out), tuple(residuals), params)
 
 

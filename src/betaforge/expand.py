@@ -9,7 +9,8 @@ device in `tosses_adc` included, runs on the one orbit loop `_orbit` and
 declares up front the thresholds it compares against.  On a field base the
 orbit steps integer coordinates over one shared denominator and sends each
 comparison through the integer interval filter of `numerics`; a certified
-exact sign is taken only on near-ties.  A rational base steps Fractions.
+exact sign is taken only on near-ties.  A rational base p/q steps an integer
+numerator over a denominator that gains a factor q per step.
 
 The exact-value cores take an exact base value b, a Fraction or a field
 element: `_word_value(b, bits)` behind `delta_finite` and `_tail(b, n)` =
@@ -166,8 +167,8 @@ def _side(sign, lo, hi) -> int:
 
 # longest orbit, in digits, of every generator.  At this length, from
 # s = 3/4 on 2 vCPUs (Python 3.11), golden and tribonacci took 0.03-0.13 s
-# and 3/2 0.24-0.43 s; sqrt2, whose coordinates grow without bound, took
-# 4.1 s greedy or lazy (1.7 s at 10^4 digits, 9.8 s at 2*10^4)
+# and 3/2 0.04-0.05 s greedy or lazy; sqrt2, whose coordinates grow without
+# bound, took 4.1 s greedy or lazy (1.7 s at 10^4 digits, 9.8 s at 2*10^4)
 ORBIT_CAP = 1 << 14
 
 # the orbit stops filtering once a residual's filter bounds are wider than
@@ -183,13 +184,16 @@ def _orbit(b, r, n, rule, cuts=()):
     when origin is None, else from cuts[origin] (a clamp, see
     tosses_adc.adc_run).  Returns the word and the final residual.
 
-    Rational bases step Fractions.  Field bases step integer coordinates over
-    one shared denominator; the exact residual is built only when asked for.
-    Comparisons go through the integer interval filter
-    (`NumberFieldContext.filter_bounds`): the cuts are bounded once per call,
-    the residual once per step at its first comparison, and the certified
-    evaluator runs only when the two intervals overlap, on a near-tie or an
-    exact one.  On a base whose conjugates are not all inside the unit disk
+    A rational base p/q steps an integer numerator over a denominator that
+    gains a factor q per step, so no step reduces a fraction: each comparison
+    is one cross-multiplication with a cut, and the Fraction residual is
+    built only when the rule asks for it and once on return.  Field bases
+    step integer coordinates over one shared denominator, and likewise build
+    the exact residual only when asked for; their comparisons go through the
+    integer interval filter (`NumberFieldContext.filter_bounds`): the cuts
+    are bounded once per call, the residual once per step at its first
+    comparison, and the certified evaluator runs only when the two intervals
+    overlap, on a near-tie or an exact one.  On a base whose conjugates are not all inside the unit disk
     the coordinates grow without bound; once a near-tie finds the residual's
     bounds wider than 2^-(FILTER_BITS - _FILTER_SLACK) in value, the filter
     can no longer pay for itself and every later sign is taken exactly.
@@ -201,21 +205,27 @@ def _orbit(b, r, n, rule, cuts=()):
         raise SizeGuardError(f"{n} digits exceed the orbit cap ORBIT_CAP = {ORBIT_CAP}")
     out = []
     if isinstance(b, Fraction):
+        # r = x / den, not reduced: with b = p/q, b*r - d = (p*x - d*q*den) / (q*den)
+        p, q = b.numerator, b.denominator
+        x, den = r.numerator, r.denominator
+        cut_nd = [(c.numerator, c.denominator) for c in cuts]
 
         def sign(k):
-            c = cuts[k]
-            return (r > c) - (r < c)
+            cn, cd = cut_nd[k]
+            lhs, rhs = x * cd, cn * den
+            return (lhs > rhs) - (lhs < rhs)
 
         def residual():
-            return r
+            return Fraction(x, den)
 
         for i in range(n):
             d, origin = rule(i, sign, residual)
             if origin is not None:
-                r = cuts[origin]
+                x, den = cut_nd[origin]
             out.append("1" if d else "0")
-            r = b * r - 1 if d else b * r
-        return "".join(out), r
+            den *= q
+            x = p * x - den if d else p * x
+        return "".join(out), Fraction(x, den)
 
     ctx = b.ctx
     poly = ctx.minpoly
@@ -299,12 +309,17 @@ def tail_bound(beta: BetaSpec, n: int) -> ExactReal:
     return _tail(beta_value(beta), n)
 
 
+def _greedy_rule(i, sign, residual):
+    """Digit 1 whenever the residual reaches the cut 1/beta."""
+    return sign(0) >= 0, None
+
+
 def greedy_prefix(beta: BetaSpec, r: ExactReal, n_digits: int):
     """First `n_digits` greedy digits of r together with the shifted residual
     beta^n * (r - value(digits)), still inside [0, 1/(beta-1)]."""
     b = beta_value(beta)
     _check_in_domain(b, r)
-    return _orbit(b, r, n_digits, lambda i, sign, _: (sign(0) >= 0, None), (1 / b,))
+    return _orbit(b, r, n_digits, _greedy_rule, (1 / b,))
 
 
 def greedy_expand(beta: BetaSpec, s: ExactReal, n: int) -> str:

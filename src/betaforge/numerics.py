@@ -351,7 +351,8 @@ class NumberFieldElement:
 
     Immutable.  Comparisons go through certified sign determination.  Mixed
     arithmetic with ints and Fractions coerces the rational operand into the
-    field.
+    field, except division, which scales the coordinates of x or of its
+    inverse by the rational directly.
     """
 
     __slots__ = ("ctx", "num", "den")
@@ -494,17 +495,25 @@ class NumberFieldElement:
         a = poly[-1]
         return NumberFieldElement(ctx, [Fraction(a**j * rows[j][d], rows[j][j]) for j in range(d)])
 
+    def _scale(self, q: Fraction) -> "NumberFieldElement":
+        """self * q for a rational q: the integer coordinates times its
+        numerator, over the denominator times its denominator."""
+        return _zelement(self.ctx, self.den * q.denominator, [x * q.numerator for x in self.num])
+
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("division of a field element by zero")
+            return self._scale(1 / Fraction(other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self.inverse()._scale(Fraction(other))
+        return NotImplemented
 
     def is_zero(self) -> bool:
         return not any(self.num)

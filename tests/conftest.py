@@ -6,6 +6,11 @@ import pytest
 import betaforge as bf
 
 
+# rational bases of the differential tests against the Fraction orbit and
+# converter: chunk sizes from 2 to 70, and clamped read schedules near 1
+RATIONAL_BASES = [Fraction(3, 2), Fraction(9, 5), Fraction(7, 4), Fraction(11, 10), Fraction(101, 100), Fraction(19, 10), Fraction(199, 100)]
+
+
 @pytest.fixture(scope="session")
 def golden():
     return bf.get_preset("golden")
@@ -35,3 +40,11 @@ def random_rational(rng, lo=Fraction(0), hi=Fraction(1), den_bits=20):
     den = rng.randrange(1, 1 << den_bits)
     num = rng.randrange(0, den + 1)
     return lo + (hi - lo) * Fraction(num, den)
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the BetaForgeError it raised."""
+    try:
+        return fn(*args)
+    except bf.BetaForgeError as e:
+        return type(e), str(e)

@@ -23,6 +23,10 @@ algorithm over Fraction polynomials in Q[x], checks
 the matrix of multiplication).  `decode_pairing_by_lengths`, the decoder
 that tries every item length and arity with its closed-form code length,
 checks `pairing.decode_pairing`, with which it shares only `_split_bar`.
+`orbit_fractions`, the rational branch of the shift-map orbit as it stepped
+Fractions, and `convert_rational_fractions`, the rational converter as it
+computed each sigma(i) and injection from a fresh exact power of beta,
+check `expand._orbit` on rational bases and `convert.convert_rational`.
 """
 
 import functools
@@ -759,3 +763,72 @@ def decode_pairing_by_lengths(raw, arity=None, item_length=None):
     if len(shortest) > 1:
         raise MalformedEncodingError(f"{raw!r} is ambiguous; pass an explicit arity")
     return list(shortest.pop())
+
+
+# --- the rational orbit and converter on Fractions --------------------------
+
+
+def orbit_fractions(b, r, n, rule, cuts=()):
+    """`expand._orbit` on a rational base b as it stepped Fractions: sign(k)
+    compares the Fraction r with cuts[k], and residual() is r itself."""
+
+    def sign(k):
+        c = cuts[k]
+        return (r > c) - (r < c)
+
+    def residual():
+        return r
+
+    out = []
+    for i in range(n):
+        d, origin = rule(i, sign, residual)
+        if origin is not None:
+            r = cuts[origin]
+        out.append("1" if d else "0")
+        r = b * r - 1 if d else b * r
+    return "".join(out), r
+
+
+def convert_rational_fractions(beta, binary_prefix: str, n: int):
+    """`convert.convert_rational` as it ran on Fractions: sigma(i) from
+    `exact_log2_bounds` on beta^(N*i), each injection from a fresh power of
+    beta, and each chunk from the greedy rule on `orbit_fractions` after the
+    domain check of `greedy_prefix`.  Returns (bits, residuals, sigmas) and
+    raises what the converter raised, with the same messages."""
+    params = bf.params_rational(beta)
+    b, n_chunk = params.beta, params.N
+
+    def sigma(i):
+        if i == 0:
+            return 0
+        lead, _ = bf.exact_log2_bounds(b, n_chunk * i)
+        return max(i, lead + params.sigma_offset)
+
+    bf.expand.validate_bits(binary_prefix)
+    if n < 0:
+        raise bf.DomainError("chunk count must be nonnegative")
+    last = sigma(n)
+    if len(binary_prefix) < last:
+        raise bf.InsufficientBitsError("binary", last)
+    sigmas = [sigma(i) for i in range(n)] + [last]
+    carry_cap = (b / 2) / (b - 1)
+    residual = Fraction(0)
+    residuals = [residual]
+    out = []
+    for i in range(n):
+        step_slice = binary_prefix[sigmas[i] : sigmas[i + 1]]
+        injected = b ** (n_chunk * i) / Fraction(1 << sigmas[i]) * Fraction(int(step_slice or "0", 2), 1 << len(step_slice))
+        total = residual + injected
+        if not (0 <= total <= carry_cap):
+            raise bf.InvariantViolation(
+                f"step {i}: carried sum {total} outside [0, {carry_cap}]; "
+                f"residual={residual} injected={injected} beta={b}"
+            )
+        if not (0 <= total <= 1 / (b - 1)):
+            raise bf.DomainError("value outside [0, 1/(beta-1)]")
+        chunk, residual = orbit_fractions(b, total, n_chunk, lambda i, sign, _: (sign(0) >= 0, None), (1 / b,))
+        if not (0 <= residual <= 1):
+            raise bf.InvariantViolation(f"step {i}: residual {residual} left [0, 1]")
+        out.append(chunk)
+        residuals.append(residual)
+    return "".join(out), tuple(residuals), sigmas

@@ -493,6 +493,9 @@ def test_python_dash_m_entry_point():
          "error: 3000000 digits exceed the orbit cap ORBIT_CAP = 16384\n"),
         (["expand", "--beta", "3/2", "--s", "3/4", "--mode", "greedy", "--n", "80000"],
          "error: 80000 digits exceed the orbit cap ORBIT_CAP = 16384\n"),
+        # beta^(N*n) of a base near 1 over the bit budget, before any power is built
+        (["convert", "--beta", "101/100", "--binary", "0101", "--chunks", "2000"],
+         "error: a^140000 would exceed the 1000000-bit budget\n"),
     ],
 )
 def test_oversized_inputs_end_in_one_error_line(argv, stderr):

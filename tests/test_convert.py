@@ -2,10 +2,14 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import betaforge as bf
-from conftest import random_rational
-from oracles import delta_oracle, dyadic_log2_upper_bisection, greedy_oracle
+from betaforge.cli import run_command
+from betaforge.convert import _ceil_log2_ratio
+from conftest import RATIONAL_BASES, outcome, random_rational
+from oracles import convert_rational_fractions, delta_oracle, dyadic_log2_upper_bisection, greedy_oracle
 
 B32 = bf.RationalBeta(Fraction(3, 2))
 
@@ -114,6 +118,105 @@ class TestConvertRational:
             chunk, residual = bf.greedy_prefix(spec, res.residuals[i] + injected, p.N)
             assert chunk == res.bits[p.N * i : p.N * (i + 1)]
             assert residual == res.residuals[i + 1]
+
+
+def assert_same_conversion(beta, prefix, n):
+    """convert_rational and the Fraction converter agree on bits, residuals,
+    params and schedule, or raise the same typed error with the same message."""
+    spec = bf.RationalBeta(beta)
+    got = outcome(bf.convert_rational, spec, prefix, n)
+    want = outcome(convert_rational_fractions, spec, prefix, n)
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+        return
+    bits, residuals, sigmas = want
+    assert isinstance(got, bf.RationalConversion)
+    assert (got.bits, got.residuals, got.params) == (bits, residuals, bf.params_rational(spec))
+    assert [got.params.sigma(i) for i in range(n + 1)] == sigmas
+
+
+def rand_bits(rng, n):
+    return "".join(rng.choice("01") for _ in range(n))
+
+
+class TestAgainstFractionConverter:
+    """`oracles.convert_rational_fractions` is the converter as it ran on
+    Fractions and fresh powers of beta."""
+
+    @pytest.mark.parametrize("beta", RATIONAL_BASES, ids=str)
+    def test_fixed_bases(self, beta, rng):
+        p = bf.params_rational(bf.RationalBeta(beta))
+        # 101/100 steps 70 digits per chunk, over denominators of up to 28,000 bits
+        for _ in range(40 if p.N > 50 else 120):
+            n = rng.randrange(0, 61)
+            # one prefix in ten is too short by a few bits
+            size = p.sigma(n) + (-rng.randrange(1, 4) if n and rng.random() < 0.1 else rng.randrange(0, 8))
+            assert_same_conversion(beta, rand_bits(rng, size), n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(q=st.integers(2, 64), data=st.data())
+    def test_drawn_bases(self, q, data):
+        beta = Fraction(data.draw(st.integers(q + 1, 2 * q - 1)), q)
+        n = data.draw(st.integers(0, 60))
+        size = bf.params_rational(bf.RationalBeta(beta)).sigma(n)
+        prefix = data.draw(st.text(alphabet="01", min_size=size, max_size=size + 4))
+        assert_same_conversion(beta, prefix, n)
+
+    @pytest.mark.parametrize("beta", [Fraction(3, 2), Fraction(9, 5), Fraction(11, 10)], ids=str)
+    def test_eight_hundred_chunks(self, beta, rng):
+        size = bf.params_rational(bf.RationalBeta(beta)).sigma(800)
+        assert_same_conversion(beta, rand_bits(rng, size), 800)
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=st.integers(1, 1 << 200), den=st.integers(1, 1 << 200), shift=st.integers(-8, 8))
+def test_ceil_log2_ratio(num, den, shift):
+    # exact powers of two included: num = den * 2^shift
+    for a, b in ((num, den), (den << shift, den) if shift >= 0 else (den, den << -shift)):
+        assert _ceil_log2_ratio(a, b) == bf.ceil_log2(Fraction(a, b))
+
+
+class TestErrorParity:
+    @pytest.mark.parametrize(
+        "beta, prefix, n",
+        [
+            (Fraction(101, 100), "0101", 2000),  # beta^(N*n) over the bit budget
+            (Fraction(3, 2), "0101", 30000),  # short prefix
+            (Fraction(3, 2), "01a1", 1),  # not binary
+            (Fraction(3, 2), "01a1", -1),  # not binary and n < 0: the bits first
+            (Fraction(3, 2), "0101", -1),
+            (Fraction(2), "0101", 1),  # outside (1, 2)
+        ],
+    )
+    def test_typed_errors_match_the_fraction_converter(self, beta, prefix, n):
+        got = outcome(bf.convert_rational, bf.RationalBeta(beta), prefix, n)
+        assert isinstance(got, tuple) and issubclass(got[0], bf.BetaForgeError)
+        assert got == outcome(convert_rational_fractions, bf.RationalBeta(beta), prefix, n)
+
+    def test_budget_error_of_the_schedule(self):
+        # sigma(i) of 101/100 (N = 70) passes the budget up to i = 1020
+        p = bf.params_rational(bf.RationalBeta(Fraction(101, 100)))
+        assert p.sigma(1020) == 1020
+        with pytest.raises(bf.BudgetExceededError, match=r"^a\^71470 would exceed the 1000000-bit budget$"):
+            p.sigma(1021)
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["convert", "--beta", "9/5", "--binary", "1011001110001111", "--chunks", "3", "--json"],
+             '{"beta":"9/5","bits":"100101","params":{"N":2,"sigma":[0,5,7,9]},'
+             '"steps":["0","171/400","37369/80000","5701879/8000000"]}'),
+            (["convert", "--beta", "11/10", "--binary", "1011001110001111", "--chunks", "2", "--json"],
+             '{"beta":"11/10","bits":"0000000100000000","params":{"N":8,"sigma":[0,1,2]},'
+             '"steps":["0","14358881/200000000","3077953663572161/20000000000000000"]}'),
+            (["convert", "--beta", "9/5", "--binary", "1011001110001111", "--chunks", "3"], "100101"),
+            (["bounds", "--beta", "3/2", "--n", "40"],
+             'rational_params={"N":2,"sigma":[0,3,4,5,6,7,9,10,11,12,13,14,16,17,18,19,20,21,23,24,25,26,27,28,'
+             '30,31,32,33,34,35,37,38,39,40,41,42,44,45,46,47,48]}\nstream_params={"C_lower":"1/6","L":8,"N":28}'),
+        ],
+    )
+    def test_pinned_cli_output(self, argv, out):
+        assert run_command(argv) == (0, out, "")
 
 
 class TestStreamParams:

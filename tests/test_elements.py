@@ -68,6 +68,37 @@ def test_arithmetic_matches_fraction_oracle(name):
 
 
 @pytest.mark.parametrize("name", BASES)
+def test_division_by_a_rational_matches_the_coerced_forms(name):
+    """x / q and q / x scale the coordinates of x or of its inverse by q; they
+    equal x * (q coerced)^-1 and (q coerced) * x^-1, coordinates and all."""
+    ctx = context(name)
+    rng = random.Random(name + "divide")
+    zero = NumberFieldElement.from_rational(ctx, 0)
+    for k in range(80):
+        x = NumberFieldElement(ctx, random_coeffs(rng, ctx.degree))
+        q = [rng.randrange(-9, 10), Fraction(rng.randrange(-99, 100), rng.randrange(1, 50))][k % 2]
+        if q:
+            coerced = x * NumberFieldElement.from_rational(ctx, q).inverse()
+            assert (x / q).coeffs == coerced.coeffs and x / q == coerced
+            same(x / q, FractionElement(ctx, x.coeffs) * (1 / Fraction(q)))
+        if not x.is_zero():
+            coerced = NumberFieldElement.from_rational(ctx, q) * x.inverse()
+            assert (q / x).coeffs == coerced.coeffs and q / x == coerced
+        for z in (0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                x / z
+    # a zero numerator gives the zero element in lowest terms
+    x = NumberFieldElement.generator(ctx) + Fraction(1, 3)
+    for z in (0, Fraction(0), Fraction(0, 7)):
+        assert (z / x) == zero and (z / x).den == 1
+        assert (zero / Fraction(5, 3)) == zero
+    with pytest.raises(ZeroDivisionError):
+        1 / zero
+    with pytest.raises(ZeroDivisionError):
+        Fraction(1, 2) / zero
+
+
+@pytest.mark.parametrize("name", BASES)
 def test_equal_elements_are_equal_and_hash_alike(name):
     ctx = context(name)
     d = ctx.degree

@@ -1,14 +1,15 @@
 import math
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import betaforge as bf
-from conftest import random_rational
-from oracles import delta_oracle, greedy_oracle, landing_oracle, lazy_oracle
+from conftest import RATIONAL_BASES, outcome, random_rational
+from oracles import delta_oracle, greedy_oracle, landing_oracle, lazy_oracle, orbit_fractions
 from test_integer_coords import base, rand_value
 
 B32 = bf.RationalBeta(Fraction(3, 2))
@@ -179,6 +180,99 @@ class TestRandomExpand:
         for t in trace:
             assert (t.toss_consumed is not None) == t.in_switch
             assert word[t.index] == str(t.emitted_bit)
+
+
+def orbit_results(beta, s, n, tosses, band):
+    """Every public call that steps the rational orbit, each result or the
+    type and message of the error it raised."""
+    spec = bf.RationalBeta(beta)
+    calls = [
+        lambda: bf.greedy_prefix(spec, s, n),
+        lambda: bf.greedy_expand(spec, s, n),
+        lambda: bf.lazy_expand(spec, s, n),
+        lambda: bf.random_expand(spec, s, n, bf.BitStream.from_bits(tosses)),
+        lambda: bf.adc_run(spec, bf.Quantizer(*band), s, n, bf.BitStream.from_bits(tosses)),
+    ]
+    return [outcome(call) for call in calls]
+
+
+def on_fraction_orbit(beta, s, n, tosses, band):
+    """`orbit_results` with the orbit stepping Fractions, as it did before it
+    stepped integers."""
+    with mock.patch.object(bf.expand, "_orbit", orbit_fractions), mock.patch.object(bf.tosses_adc, "_orbit", orbit_fractions):
+        return orbit_results(beta, s, n, tosses, band)
+
+
+def orbit_case(beta, s, n, tosses, band):
+    got = orbit_results(beta, s, n, tosses, band)
+    assert got == on_fraction_orbit(beta, s, n, tosses, band)
+    return got
+
+
+def start_values(beta, k):
+    """Start values for the orbit differential: the ends of the domain and the
+    switch-region cuts, and the same divided by beta^k, which the greedy and
+    lazy orbits reach as exact ties at step k."""
+    ends = [Fraction(0), 1 / (beta - 1), 1 / beta, 1 / (beta * (beta - 1))]
+    return ends + [e / beta**k for e in ends]
+
+
+class TestAgainstFractionOrbit:
+    """The rational orbit on integers against `oracles.orbit_fractions`: words,
+    residuals, traces, device records and errors, ties and clamps included."""
+
+    @pytest.mark.parametrize("beta", RATIONAL_BASES, ids=str)
+    def test_fixed_bases(self, beta, rng):
+        region = (1 / beta, 1 / (beta * (beta - 1)))
+        top = 1 / (beta - 1)
+        for j in range(110):
+            n = rng.randrange(0, 61)
+            if j < 40:
+                s = start_values(beta, rng.randrange(0, 6))[j % 8]
+            else:
+                s = random_rational(rng, Fraction(0), top * Fraction(11, 10))  # a tenth outside
+            tosses = "".join(rng.choice("01") for _ in range(n))
+            # a sound band inside the switch region, or one anywhere that forces clamps
+            t = random_rational(rng, *region) if j % 2 else random_rational(rng, Fraction(0), top)
+            eps = random_rational(rng, Fraction(0), (region[1] - region[0]) / 4)
+            orbit_case(beta, s, n, tosses, (t, eps))
+
+    @settings(max_examples=300, deadline=None)
+    @given(q=st.integers(2, 64), data=st.data())
+    def test_drawn_bases(self, q, data):
+        beta = Fraction(data.draw(st.integers(q + 1, 2 * q - 1)), q)
+        top = 1 / (beta - 1)
+        n = data.draw(st.integers(0, 60))
+        s = data.draw(st.sampled_from(start_values(beta, n // 3)) | st.fractions(0, top, max_denominator=1 << 24))
+        t = data.draw(st.fractions(0, top, max_denominator=1 << 12))
+        eps = data.draw(st.fractions(0, top / 4, max_denominator=1 << 12))
+        tosses = data.draw(st.text(alphabet="01", min_size=n, max_size=n))
+        orbit_case(beta, s, n, tosses, (t, eps))
+
+    def test_clamps_are_exercised(self):
+        # an unsound band far above the region clamps from the region's ends
+        beta = Fraction(3, 2)
+        record = orbit_case(beta, Fraction(1, 3), 40, "01" * 20, (Fraction(19, 10), Fraction(1, 20)))[4]
+        assert record.fault
+
+
+FLIP = str.maketrans("01", "10")
+
+
+@pytest.mark.parametrize("name", ["3/2", "9/5", "golden", "tribonacci"])
+@settings(max_examples=40, deadline=None)
+@given(t=st.fractions(0, 1, max_denominator=1 << 20), n=st.integers(0, 200))
+@example(t=Fraction(0), n=200)
+@example(t=Fraction(1), n=200)
+@example(t=Fraction(1, 2), n=200)
+def test_lazy_is_greedy_on_the_mirror_complemented(name, t, n):
+    """With F = 1/(beta-1), r -> F - r maps the lazy orbit of s onto the
+    greedy orbit of F - s digit for complemented digit: r <= 1/(beta(beta-1))
+    exactly when F - r >= 1/beta, and beta*F - 1 = F."""
+    spec = bf.RationalBeta(Fraction(name)) if "/" in name else bf.get_preset(name).beta
+    top = bf.expansion_domain_max(spec)
+    s = top * t
+    assert bf.lazy_expand(spec, s, n) == bf.greedy_expand(spec, top - s, n).translate(FLIP)
 
 
 class TestOrbitCap:
