@@ -1,15 +1,18 @@
 """Binary-to-beta converters that read a binary expansion prefix and emit
 digit chunks of an expansion of the same value in base beta.
 
-Two converters share one chunk engine.  For a rational base p/q the chunk size
-N is computed once from beta, and the binary read lengths Sigma_i follow
-from the running integers p^(N*i) and q^(N*i), which also scale each
-injected slice; the chunks are stepped on the integer orbit of `expand`.  For
-a base known only through the digit stream of beta - 1, the driver refines a
-dyadic approximant per chunk and also carries a correction term for the error
-committed by emitting earlier chunks against coarser approximants; the
-schedule is then derived from certified rational brackets so every containment
-needed for well-definedness holds with margin.
+Two converters share one chunk engine: each chunk is N steps of the greedy
+orbit of `expand`, with no second domain check, as each carry cap lies below
+1/(beta-1).  Both read schedules sigma(i) rest on ceil(N*i*log2(b)), b the
+base or its dyadic approximant, which one integer core of `numerics` takes
+from the integer powers of b.  For a rational base p/q the chunk size N is
+computed once from beta, and the running integers p^(N*i) and q^(N*i) also
+scale each injected slice.  For a base known only through the digit stream
+of beta - 1, the converter refines a dyadic approximant per chunk and also
+carries a correction term for the error committed by emitting earlier chunks
+against coarser approximants; the schedule is then derived from certified
+rational brackets so every containment needed for well-definedness holds
+with margin.
 
 All state is exact.  An invariant failure means a broken precondition or a
 bug and raises immediately with a state dump; it is never auto-corrected.
@@ -21,22 +24,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numerics import (
-    BIT_BUDGET,
     AlgebraicBeta,
     BetaForgeError,
     BetaSpec,
-    BudgetExceededError,
     DomainError,
     RationalBeta,
     StreamBeta,
     beta_value,
     ceil_log2,
     exact_cmp,
-    exact_log2_bounds,
     floor_log2,
+    _ceil_log2_ratio,
+    _int_powers,
     _least_power,
 )
-from .expand import greedy_prefix, validate_bits, _delta2, _greedy_rule, _orbit, _tail, _word_value
+from .expand import validate_bits, _delta2, _greedy_rule, _orbit, _tail, _word_value
 
 __all__ = [
     "InsufficientBitsError",
@@ -72,14 +74,6 @@ class InvariantViolation(BetaForgeError):
     """A converter step left its certified containment region."""
 
 
-def _ceil_log2_ratio(num: int, den: int) -> int:
-    """Least m with 2^m * den >= num, for positive integers: the bit lengths
-    put it at m or m + 1, and one shifted comparison decides."""
-    m = num.bit_length() - den.bit_length()
-    lhs, rhs = (den << m, num) if m >= 0 else (den, num << -m)
-    return m if lhs >= rhs else m + 1
-
-
 @dataclass(frozen=True)
 class RationalConvParams:
     """Chunk size and binary read schedule for a rational base in (1, 2).
@@ -99,16 +93,7 @@ class RationalConvParams:
             raise DomainError("schedule index must be nonnegative")
         if i == 0:
             return 0
-        return self._sigma(i, *self._powers(i))
-
-    def _powers(self, i: int) -> tuple[int, int]:
-        """(p^(N*i), q^(N*i)) for beta = p/q, under the bit budget that
-        `exact_log2_bounds` puts on beta^(N*i)."""
-        k = self.N * i
-        p, q = self.beta.numerator, self.beta.denominator
-        if k * (p.bit_length() + q.bit_length()) > BIT_BUDGET:
-            raise BudgetExceededError(f"a^{k} would exceed the {BIT_BUDGET}-bit budget")
-        return p**k, q**k
+        return self._sigma(i, *_int_powers(self.beta, self.N * i))
 
     def _sigma(self, i: int, big_p: int, big_q: int) -> int:
         """sigma(i) for i >= 1, given big_p / big_q = beta^(N*i)."""
@@ -208,7 +193,7 @@ def _dyadic_log2_upper(a: Fraction) -> Fraction:
     p = LOG2_PRECISION_BITS: the least k/2^p with a^(2^p) <= 2^k.  No power
     of a rational in (1, 2) is a power of 2, so the bound is strict."""
     scale = 1 << LOG2_PRECISION_BITS
-    return Fraction(ceil_log2(a ** scale), scale)
+    return Fraction(_ceil_log2_ratio(a.numerator**scale, a.denominator**scale), scale)
 
 
 def stream_from_exact(beta: BetaSpec) -> StreamBeta:
@@ -291,6 +276,8 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
     ratio and a correction term accounts for re-reading the emitted word
     against the newer approximant.  Every step verifies its containment and
     rate certificates; a failure raises InvariantViolation with full state.
+    The carry cap 1 + 3C = hi/(2(hi-1)) lies below 1/(b-1) for every
+    approximant b <= hi, so each chunk steps the greedy orbit directly.
     """
     params = params_stream(beta)
     n_chunk, big_l, c_low = params.N, params.L, params.C_lower
@@ -323,7 +310,7 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
         )
 
     def sigma(i):
-        return exact_log2_bounds(approximants[i + 1], n_chunk * i)[0] - params.floor_log2_C if i else 0
+        return _ceil_log2_ratio(*_int_powers(approximants[i + 1], n_chunk * i)) - params.floor_log2_C if i else 0
 
     last = sigma(n)  # checked before the whole schedule is built
     if len(binary_prefix) < last:
@@ -370,7 +357,7 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
             rate_cap = min(Fraction(1), c_low) / (_E_UPPER * beta.hi ** (n_chunk * i) * n_chunk**2 * i**2)
             if gap > rate_cap:
                 fail("approximant not tightening fast enough")
-        chunk, shifted = greedy_prefix(RationalBeta(b_next), total, n_chunk)
+        chunk, shifted = _orbit(b_next, total, n_chunk, _greedy_rule, (1 / b_next,))
         ratio = (approximants[i + 2] / b_next) ** (n_chunk * (i + 1))
         if not (1 <= ratio <= 1 + c_low):
             fail("approximant ratio outside [1, 1 + C]")

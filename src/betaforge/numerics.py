@@ -6,8 +6,10 @@ and elements of a real number field Q(beta) given by an integer minimal
 polynomial plus an isolating interval.  A field element is stored as integer
 coordinates over one positive denominator in lowest terms, (num, den) with
 value sum(num[j] * beta^j) / den, so field arithmetic is integer vector
-arithmetic, an inverse solves one linear system on the integer columns of
-multiplication, and a sign takes the integer vector as it is.  Signs and
+arithmetic: a product sums, and an inverse eliminates on, the integer
+columns of multiplication, and a sign takes the integer vector as it is.
+The ceiling log2 of a rational, or of a rational power built as integers
+under the one BIT_BUDGET guard, is one integer core too.  Signs and
 enclosures come from one integer interval evaluator over root brackets
 bisected afresh from the isolating interval, so they do not depend on what
 ran before; bounds that straddle 0 and are narrower than the resultant
@@ -122,11 +124,25 @@ def format_rational(q: Fraction) -> str:
         raise SizeGuardError(f"number too long to print: more than {sys.get_int_max_str_digits()} digits") from None
 
 
-def _cmp_pow2(a: Fraction, m: int) -> int:
-    # sign of a - 2^m without building floats
-    n, d = a.numerator, a.denominator
-    lhs, rhs = (n, d << m) if m >= 0 else (n << (-m), d)
-    return (lhs > rhs) - (lhs < rhs)
+def _ceil_log2_ratio(num: int, den: int) -> int:
+    """Least m with 2^m * den >= num, for positive integers: the bit lengths
+    put it at m or m + 1, and one shifted comparison decides."""
+    m = num.bit_length() - den.bit_length()
+    lhs, rhs = (den << m, num) if m >= 0 else (den, num << -m)
+    return m if lhs >= rhs else m + 1
+
+
+def _power_budget(k: int, bits: int) -> None:
+    """Refuse an exact power a^k of a `bits`-bit a past BIT_BUDGET bits."""
+    if k * bits > BIT_BUDGET:
+        raise BudgetExceededError(f"a^{k} would exceed the {BIT_BUDGET}-bit budget")
+
+
+def _int_powers(q: Fraction, k: int) -> tuple[int, int]:
+    """(p^k, r^k) for q = p/r and k >= 0, under the power budget."""
+    p, r = q.numerator, q.denominator
+    _power_budget(k, p.bit_length() + r.bit_length())
+    return p**k, r**k
 
 
 class NumberFieldContext:
@@ -139,7 +155,7 @@ class NumberFieldContext:
     contexts are safe to share across threads.
     """
 
-    __slots__ = ("minpoly", "degree", "isolating", "_zscale", "_zrows", "_brackets", "_powers")
+    __slots__ = ("minpoly", "degree", "isolating", "_brackets", "_powers")
 
     def __init__(self, minpoly: Sequence[int], isolating: tuple[Fraction, Fraction]):
         coeffs = tuple(int(c) for c in minpoly)
@@ -163,7 +179,6 @@ class NumberFieldContext:
         elif slo == shi:
             raise MalformedContextError("minimal polynomial does not change sign over the isolating interval")
         self.isolating = (lo, hi)
-        self._zscale, self._zrows = self._reduction_rows()
         self._brackets = {}
         self._powers = {}
 
@@ -176,20 +191,6 @@ class NumberFieldContext:
             t *= den
             acc = acc * num + c * t
         return (acc > 0) - (acc < 0)
-
-    def _reduction_rows(self):
-        """(a^(d-1), rows): rows[k] holds the integer coordinates of
-        a^(d-1) * beta^(d+k), a the leading coefficient and d the degree, so
-        a product's high coordinates reduce without leaving the integers."""
-        d, poly = self.degree, self.minpoly
-        a = poly[-1]
-        row = [-c for c in poly[:-1]]  # a * beta^d
-        rows = []
-        for k in range(d - 1):
-            if k:
-                row = _zmul_beta(poly, row)  # a^(k+1) * beta^(d+k)
-            rows.append(tuple(a ** (d - 2 - k) * x for x in row))
-        return a ** (d - 1), tuple(rows)
 
     def enclosure(self) -> tuple[Fraction, Fraction]:
         """The isolating interval.  The package no longer reads it; the name
@@ -329,6 +330,15 @@ def _zmul_beta(poly: Sequence[int], v: list[int]) -> list[int]:
     return w
 
 
+def _columns(poly: Sequence[int], v: Sequence[int]) -> list[list[int]]:
+    """The integer columns of multiplication by v: (a*beta)^j * v for
+    j < degree, each one `_zmul_beta` step from the one before."""
+    cols = [list(v)]
+    for _ in range(len(v) - 1):
+        cols.append(_zmul_beta(poly, cols[-1]))
+    return cols
+
+
 def _zdiv_beta(poly: Sequence[int], v: list[int]) -> list[int]:
     """v / beta over the same denominator, for integer coordinates v whose
     quotient is integral; every division below is then exact."""
@@ -343,11 +353,10 @@ class NumberFieldElement:
     Stored as integer coordinates `num` (a tuple of d ints) over one
     positive denominator `den`, in lowest terms: gcd(den, *num) = 1, and
     zero is ((0, ..., 0), 1).  The form is unique, so equality and hashing
-    compare (num, den); addition is one integer vector pass, multiplication
-    an integer convolution reduced by the context's integer rows, the
-    inverse one elimination on the integer columns of multiplication, and
-    the sign evaluates `num` directly.  `coeffs` gives the same element as a
-    tuple of d Fractions, the form the constructor also accepts.
+    compare (num, den), a rational element hashing as its Fraction; addition
+    is one integer vector pass, a product and an inverse work on the integer
+    columns of multiplication, and the sign evaluates `num` directly.
+    `coeffs` gives the element as d Fractions, as the constructor takes it.
 
     Immutable.  Comparisons go through certified sign determination.  Mixed
     arithmetic with ints and Fractions coerces the rational operand into the
@@ -432,23 +441,19 @@ class NumberFieldElement:
         return _zelement(self.ctx, self.den, [-a for a in self.num])
 
     def __mul__(self, other):
+        """x*y = sum(y_j * a^(d-1-j) * (a*beta)^j * x) / a^(d-1), a leading
+        the degree-d minimal polynomial: a sum of the columns of x."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         ctx = self.ctx
-        d = ctx.degree
-        conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(self.num):
-            if ai:
-                for j, bj in enumerate(o.num):
-                    if bj:
-                        conv[i + j] += ai * bj
-        scale = ctx._zscale
-        out = [scale * c for c in conv[:d]]
-        for c, row in zip(conv[d:], ctx._zrows):
-            if c:
-                out = [x + c * r for x, r in zip(out, row)]
-        return _zelement(ctx, self.den * o.den * scale, out)
+        a, top = ctx.minpoly[-1], ctx.degree - 1
+        out = [0] * ctx.degree
+        for j, (y, col) in enumerate(zip(o.num, _columns(ctx.minpoly, self.num))):
+            if y:
+                y *= a ** (top - j)
+                out = [s + y * x for s, x in zip(out, col)]
+        return _zelement(ctx, self.den * o.den * a**top, out)
 
     __rmul__ = __mul__
 
@@ -475,9 +480,7 @@ class NumberFieldElement:
             raise ZeroDivisionError("inverse of zero field element")
         ctx = self.ctx
         d, poly = ctx.degree, ctx.minpoly
-        cols = [list(self.num)]
-        for _ in range(d - 1):
-            cols.append(_zmul_beta(poly, cols[-1]))
+        cols = _columns(poly, self.num)
         # row i of sum(t_j * cols[j]) = den * e_0, augmented by its right side
         rows = [[c[i] for c in cols] + [self.den if i == 0 else 0] for i in range(d)]
         for j in range(d):
@@ -549,6 +552,9 @@ class NumberFieldElement:
         return other.ctx is self.ctx and self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a rational element equals its Fraction, so it hashes as one
+        if not any(self.num[1:]):
+            return hash(Fraction(self.num[0], self.den))
         return hash((id(self.ctx), self.num, self.den))
 
     def __lt__(self, other):
@@ -622,16 +628,12 @@ def exact_floor(x: ExactReal) -> int:
 
 
 def floor_log2(a: ExactReal) -> int:
-    """Greatest m with 2^m <= a, for a > 0, decided exactly."""
+    """Greatest m with 2^m <= a, for a > 0, decided exactly; on a rational
+    p/r it is -ceil(log2(r/p))."""
     if exact_sign(a) <= 0:
         raise DomainError("floor_log2 requires a positive argument")
     if isinstance(a, Fraction):
-        m = a.numerator.bit_length() - a.denominator.bit_length()
-        while _cmp_pow2(a, m) < 0:
-            m -= 1
-        while _cmp_pow2(a, m + 1) >= 0:
-            m += 1
-        return m
+        return -_ceil_log2_ratio(a.denominator, a.numerator)
     lo, _ = a.enclosure(Fraction(1, 16))
     if lo <= 0:
         lo, _ = a.enclosure(Fraction(1, 1 << 40))
@@ -645,6 +647,8 @@ def floor_log2(a: ExactReal) -> int:
 
 def ceil_log2(a: ExactReal) -> int:
     """Least m with 2^m >= a, for a > 0; exact powers of two take their exponent."""
+    if isinstance(a, Fraction) and a > 0:
+        return _ceil_log2_ratio(a.numerator, a.denominator)
     f = floor_log2(a)
     return f if exact_cmp(a, Fraction(2) ** f) == 0 else f + 1
 
@@ -663,24 +667,18 @@ def _least_power(b: ExactReal, target: ExactReal) -> int:
     return m
 
 
-def _size_bits(a: ExactReal) -> int:
-    if isinstance(a, Fraction):
-        return a.numerator.bit_length() + a.denominator.bit_length()
-    return sum(c.numerator.bit_length() + c.denominator.bit_length() for c in a.coeffs)
-
-
 def exact_log2_bounds(a: ExactReal, k: int) -> tuple[int, int]:
     """Return (ceil(k*log2(a)), floor(log2(a))), both decided by exact
-    comparison of a^k (resp. a) against powers of two.
+    comparison of a^k (resp. a) against powers of two, under the power budget.
     """
     if k < 0:
         raise DomainError("k must be nonnegative")
     if exact_sign(a) <= 0:
         raise DomainError("a must be positive")
-    if k * max(1, _size_bits(a)) > BIT_BUDGET:
-        raise BudgetExceededError(f"a^{k} would exceed the {BIT_BUDGET}-bit budget")
-    p = a ** k
-    return ceil_log2(p), floor_log2(a)
+    if isinstance(a, Fraction):
+        return _ceil_log2_ratio(*_int_powers(a, k)), floor_log2(a)
+    _power_budget(k, sum(c.numerator.bit_length() + c.denominator.bit_length() for c in a.coeffs))
+    return ceil_log2(a**k), floor_log2(a)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import pytest
 
 import betaforge as bf
 from oracles import canonical_oracle
+from test_integer_coords import base
 
 GOLDEN_POLY = [-1, -1, 1]
 SQRT2_POLY = [-2, 0, 1]
@@ -68,15 +69,16 @@ class TestFast:
             x = format(rng.getrandbits(n), f"0{n}b")
             assert bf.m_beta_fast(spec, x)[0] == x
 
-    def test_idempotent_value_preserving_dominant(self, golden, tribonacci, rng):
-        for preset in (golden, tribonacci):
-            for _ in range(20):
-                n = rng.randrange(1, 14)
-                x = format(rng.getrandbits(n), f"0{n}b")
-                m1, _ = bf.m_beta_fast(preset.beta, x, preset.bounds)
-                assert m1 >= x
-                assert bf.equiv(preset.beta, x, m1)
-                assert bf.m_beta_fast(preset.beta, m1, preset.bounds)[0] == m1
+    @pytest.mark.parametrize("name", ["golden", "tribonacci", "sqrt2", "3/2"])
+    def test_idempotent_value_preserving_dominant(self, name, rng):
+        spec, bounds, _ = base(name)
+        for _ in range(20):
+            n = rng.randrange(1, 14)
+            x = format(rng.getrandbits(n), f"0{n}b")
+            m1, _ = bf.m_beta_fast(spec, x, bounds)
+            assert m1 >= x
+            assert bf.equiv(spec, x, m1)
+            assert bf.m_beta_fast(spec, m1, bounds)[0] == m1
 
     def test_pisot_width_long_inputs(self, golden, rng):
         for length in (50, 120, 200):

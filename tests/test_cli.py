@@ -496,6 +496,9 @@ def test_python_dash_m_entry_point():
         # beta^(N*n) of a base near 1 over the bit budget, before any power is built
         (["convert", "--beta", "101/100", "--binary", "0101", "--chunks", "2000"],
          "error: a^140000 would exceed the 1000000-bit budget\n"),
+        # the stream converter's sigma(26) on golden (N = 27) under the same budget
+        (["convert-stream", "--beta", "golden", "--binary", "0101", "--chunks", "26"],
+         "error: a^702 would exceed the 1000000-bit budget\n"),
     ],
 )
 def test_oversized_inputs_end_in_one_error_line(argv, stderr):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import betaforge as bf
 from betaforge.cli import run_command
-from betaforge.convert import _ceil_log2_ratio
+from betaforge.numerics import _ceil_log2_ratio
 from conftest import RATIONAL_BASES, outcome, random_rational
 from oracles import convert_rational_fractions, delta_oracle, dyadic_log2_upper_bisection, greedy_oracle
 
@@ -171,9 +171,11 @@ class TestAgainstFractionConverter:
 @settings(max_examples=300, deadline=None)
 @given(num=st.integers(1, 1 << 200), den=st.integers(1, 1 << 200), shift=st.integers(-8, 8))
 def test_ceil_log2_ratio(num, den, shift):
-    # exact powers of two included: num = den * 2^shift
+    # the least m with 2^m * den >= num, against its definition; exact
+    # powers of two included: num = den * 2^shift
     for a, b in ((num, den), (den << shift, den) if shift >= 0 else (den, den << -shift)):
-        assert _ceil_log2_ratio(a, b) == bf.ceil_log2(Fraction(a, b))
+        m = _ceil_log2_ratio(a, b)
+        assert Fraction(2) ** (m - 1) * b < a <= Fraction(2) ** m * b
 
 
 class TestErrorParity:
@@ -279,14 +281,20 @@ class TestConvertStream:
         gap = Fraction(3, 4) - delta_oracle(Fraction(3, 2), res.bits)
         assert 0 <= gap <= Fraction(1) / Fraction(3, 2) ** len(res.bits) / Fraction(1, 2)
 
-    def test_matches_rational_converter_semantics(self):
-        # with a constant approximant every chunk is a plain greedy chunk
-        stream = bf.stream_from_exact(B32)
-        prefix = greedy_oracle(Fraction(2), Fraction(2, 7), 150)
-        res = bf.convert_stream(stream, prefix, 2)
-        for d in res.diagnostics:
-            chunk, _ = bf.greedy_prefix(B32, d.residual + d.injected + d.correction, res.params.N)
-            assert chunk == res.bits[res.params.N * d.index : res.params.N * (d.index + 1)]
+    def test_matches_rational_converter_semantics(self, golden, tribonacci):
+        # every chunk is the greedy chunk, domain check included, of the
+        # carried sum under its approximant: a constant one on 3/2, refined
+        # ones on golden and tribonacci; the next residual is the shifted
+        # one times the approximant ratio
+        prefix = greedy_oracle(Fraction(2), Fraction(2, 7), 600)
+        for spec in (B32, golden.beta, tribonacci.beta):
+            res = bf.convert_stream(bf.stream_from_exact(spec), prefix, 4 if spec is B32 else 3)
+            n_chunk = res.params.N
+            for d, after in zip(res.diagnostics, res.diagnostics[1:] + (None,)):
+                b = bf.RationalBeta(res.approximants[d.index + 1])
+                chunk, shifted = bf.greedy_prefix(b, d.residual + d.injected + d.correction, n_chunk)
+                assert chunk == res.bits[n_chunk * d.index : n_chunk * (d.index + 1)]
+                assert after is None or after.residual == d.ratio * shifted
 
     def test_zero_prefix(self):
         stream = bf.stream_from_exact(B32)

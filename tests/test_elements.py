@@ -67,6 +67,37 @@ def test_arithmetic_matches_fraction_oracle(name):
         assert (a == b) == (oa == ob) and (a == a + 0) and (a - a).is_zero()
 
 
+@pytest.mark.parametrize("name", BASES + ["degree1"])
+def test_products_on_the_columns_match_the_fraction_oracle(name):
+    """A product sums the integer columns of multiplication by one factor;
+    coordinates of up to 200 bits, zero and rational operands, on monic and
+    non-monic bases and a degree-1 context."""
+    ctx = NumberFieldContext([-3, 2], (Fraction(5, 4), Fraction(7, 4))) if name == "degree1" else context(name)
+    d = ctx.degree
+    rng = random.Random(name + "columns")
+
+    def coeffs():
+        kind = rng.random()
+        if kind < 0.1:
+            return [Fraction(0)] * d
+        cs = [
+            Fraction(rng.randrange(-(1 << 200), 1 << 200) >> rng.randrange(200), rng.randrange(1, 1 << rng.randrange(1, 200)))
+            if rng.random() > 0.2 else Fraction(0)
+            for _ in range(d)
+        ]
+        return cs[:1] + [Fraction(0)] * (d - 1) if kind < 0.3 else cs
+
+    for _ in range(100):
+        ca, cb = coeffs(), coeffs()
+        a, b = NumberFieldElement(ctx, ca), NumberFieldElement(ctx, cb)
+        oa, ob = FractionElement(ctx, ca), FractionElement(ctx, cb)
+        q = rng.choice([0, rng.randrange(-9, 10), Fraction(rng.randrange(-(1 << 200), 1 << 200), rng.randrange(1, 1 << 100))])
+        for got, want in ((a * b, oa * ob), (b * a, ob * oa), (a * q, oa * q), (q * b, q * ob), (a * a * b, oa * oa * ob)):
+            same(got, want)
+            assert got.sign() == want.sign()
+        assert (a * b).is_zero() == (a.is_zero() or b.is_zero())
+
+
 @pytest.mark.parametrize("name", BASES)
 def test_division_by_a_rational_matches_the_coerced_forms(name):
     """x / q and q / x scale the coordinates of x or of its inverse by q; they
@@ -106,6 +137,8 @@ def test_equal_elements_are_equal_and_hash_alike(name):
     for _ in range(100):
         den = rng.randrange(1, 60)
         v = [rng.randrange(-500, 500) for _ in range(d)]
+        if rng.random() < 0.3:
+            v[1:] = [0] * (d - 1)
         k = rng.randrange(2, 30)
         forms = [
             _zelement(ctx, den, v),
@@ -114,11 +147,17 @@ def test_equal_elements_are_equal_and_hash_alike(name):
             NumberFieldElement(ctx, [Fraction(x, den) for x in v]) * k / k,
             (NumberFieldElement(ctx, [Fraction(x, den) for x in v]) + Fraction(1, 7)) - Fraction(1, 7),
         ]
+        if not any(v[1:]):
+            # a rational element equals its Fraction, and its int when whole
+            q = Fraction(v[0], den)
+            forms += [q] + ([int(q)] if q.denominator == 1 else [])
         assert len({f for f in forms}) == 1
         assert all(f == forms[0] and hash(f) == hash(forms[0]) for f in forms)
-        assert all(f.coeffs == forms[0].coeffs for f in forms)
+        assert all(f.coeffs == forms[0].coeffs for f in forms if isinstance(f, NumberFieldElement))
         assert forms[0] != forms[0] + Fraction(1, 1000)
     assert NumberFieldElement.from_rational(ctx, Fraction(6, 4)) == Fraction(3, 2)
+    x = NumberFieldElement.from_rational(ctx, Fraction(3, 2))
+    assert Fraction(3, 2) in {x} and x in {Fraction(3, 2)} and 2 in {x + Fraction(1, 2)}
     zero = _zelement(ctx, 12, [0] * d)
     assert (zero.num, zero.den) == ((0,) * d, 1) and zero == 0 and hash(zero) == hash(NumberFieldElement(ctx, [0] * d))
 

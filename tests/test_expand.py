@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 from unittest import mock
@@ -273,6 +274,24 @@ def test_lazy_is_greedy_on_the_mirror_complemented(name, t, n):
     top = bf.expansion_domain_max(spec)
     s = top * t
     assert bf.lazy_expand(spec, s, n) == bf.greedy_expand(spec, top - s, n).translate(FLIP)
+
+
+@pytest.mark.parametrize("name, forbidden", [("golden", "11"), ("tribonacci", "111")])
+def test_greedy_words_are_parry_admissible(name, forbidden):
+    """Parry's condition: every shift of the greedy expansion of s in [0, 1)
+    stays below the quasi-greedy expansion of 1, (10)^w on golden and
+    (110)^w on tribonacci, so no greedy word holds "11", resp. "111"; start
+    values are rationals and exact values of random words."""
+    spec = bf.get_preset(name).beta
+    rng = random.Random(name + "parry")
+    checked = 0
+    while checked < 200:
+        s = random_rational(rng) if checked % 2 else bf.delta_finite(spec, format(rng.getrandbits(30), "030b"))
+        if bf.exact_cmp(s, 1) >= 0:
+            continue
+        word = bf.greedy_expand(spec, s, 300)
+        assert forbidden not in word, (s, word)
+        checked += 1
 
 
 class TestOrbitCap:

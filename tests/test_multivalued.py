@@ -274,6 +274,20 @@ class TestEnumerate:
             got = bf.enumerate_expansions(golden.beta, s, n)
             assert got == enumerate_oracle_field(GOLDEN_POLY, ("3/2", "5/3"), s, n)
 
+    @pytest.mark.parametrize("name", ["golden", "tribonacci", "sqrt2", "3/2"])
+    def test_prefix_closed(self, name, rng):
+        """Every expansion prefix extends by a digit, so the n-prefixes of
+        the (n+1)-digit expansion prefixes of s are those of n digits; s runs
+        over the domain, its ends and exact word values included."""
+        spec = base(name)[0]
+        top = bf.expansion_domain_max(spec)
+        values = [Fraction(0), top, bf.delta_finite(spec, "1011"), bf.delta_finite(spec, "0110")]
+        values += [top * random_rational(rng) for _ in range(11)]
+        for s in values:
+            n = rng.randrange(0, 9)
+            longer = bf.enumerate_expansions(spec, s, n + 1)
+            assert sorted({w[:n] for w in longer}) == bf.enumerate_expansions(spec, s, n)
+
     @pytest.mark.parametrize("name", ["golden", "tribonacci", "3/2", "7/4", "2"])
     def test_against_bruteforce_with_domain_ends(self, name, rng):
         # s = 0 and s = 1/(beta-1) are the ends of the domain, where a prefix
@@ -427,17 +441,19 @@ class TestNuMeasure:
     def test_pinned_window_mass(self, golden):
         assert bf.nu_measure(golden.beta, 3, bf.Interval(Fraction(9, 10), Fraction(11, 10))) == Fraction(1, 8)
 
-    def test_additive_on_split(self, golden, rng):
+    @pytest.mark.parametrize("name", ["golden", "tribonacci", "sqrt2", "3/2"])
+    def test_additive_on_split(self, name, rng):
+        spec = base(name)[0]
         for _ in range(6):
             m = rng.randrange(3, 10)
             a = random_rational(rng, Fraction(0), Fraction(1))
             b = a + random_rational(rng, Fraction(0), Fraction(1))
             mid = a + (b - a) / 2
-            total = bf.nu_measure(golden.beta, m, bf.Interval(a, b))
-            left = bf.nu_measure(golden.beta, m, bf.Interval(a, mid))
-            right = bf.nu_measure(golden.beta, m, bf.Interval(mid, b))
+            total = bf.nu_measure(spec, m, bf.Interval(a, b))
+            left = bf.nu_measure(spec, m, bf.Interval(a, mid))
+            right = bf.nu_measure(spec, m, bf.Interval(mid, b))
             # the midpoint may carry mass, counted by both halves
-            point = bf.nu_measure(golden.beta, m, bf.Interval(mid, mid))
+            point = bf.nu_measure(spec, m, bf.Interval(mid, mid))
             assert left + right - point == total
 
     def test_monotone_under_inclusion(self, golden, rng):

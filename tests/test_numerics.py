@@ -164,6 +164,17 @@ class TestInApprox:
         assert bf.in_approx(s, interval, n)
 
 
+def log2_cases():
+    """Rationals above and below 1, exact powers of two, and numerators and
+    denominators of up to 10^50."""
+    return st.one_of(
+        st.builds(Fraction, st.integers(1, 10**50), st.integers(1, 10**50)),
+        st.builds(Fraction, st.integers(1, 1000), st.integers(1, 1000)),
+        st.builds(lambda j: Fraction(2) ** j, st.integers(-200, 200)),
+        st.builds(lambda j, r: Fraction(2) ** j * r, st.integers(-60, 60), st.sampled_from([1, 3, Fraction(1, 3), Fraction(10**50, 10**50 - 1)])),
+    )
+
+
 class TestExactLog2:
     def test_power_of_two(self):
         assert bf.exact_log2_bounds(Fraction(2), 5) == (5, 1)
@@ -200,6 +211,47 @@ class TestExactLog2:
             if p != Fraction(2) ** ceil_k:
                 assert Fraction(2) ** (ceil_k - 1) < p
             assert Fraction(2) ** floor1 <= a < Fraction(2) ** (floor1 + 1)
+
+    # the rational branches of floor_log2, ceil_log2 and exact_log2_bounds,
+    # one integer core, against the definitions 2^f <= q < 2^(f+1) and
+    # 2^(m-1) < q^k <= 2^m for m = ceil(k * log2(q))
+    @settings(max_examples=400, deadline=None)
+    @given(q=log2_cases(), k=st.integers(0, 12))
+    def test_definitions(self, q, k):
+        f, c = bf.floor_log2(q), bf.ceil_log2(q)
+        assert Fraction(2) ** f <= q < Fraction(2) ** (f + 1)
+        assert Fraction(2) ** (c - 1) < q <= Fraction(2) ** c
+        m, f1 = bf.exact_log2_bounds(q, k)
+        assert f1 == f
+        assert Fraction(2) ** (m - 1) < q**k <= Fraction(2) ** m
+
+    def test_exact_powers_of_two(self):
+        for j in range(-130, 131):
+            q = Fraction(2) ** j
+            assert bf.floor_log2(q) == bf.ceil_log2(q) == j
+            for k in (0, 1, 5):
+                assert bf.exact_log2_bounds(q, k) == (j * k, j)
+            # a relative nudge of 10^-50 up or down moves exactly one of the two
+            for nudge, want in ((Fraction(1, 10**50), (j, j + 1)), (-Fraction(1, 10**50), (j - 1, j))):
+                r = q * (1 + nudge)
+                assert (bf.floor_log2(r), bf.ceil_log2(r)) == want
+
+    def test_numerators_of_fifty_digits(self):
+        big = 10**50
+        assert bf.floor_log2(Fraction(big)) == 166 and bf.ceil_log2(Fraction(big)) == 167
+        assert bf.floor_log2(Fraction(1, big)) == -167 and bf.ceil_log2(Fraction(1, big)) == -166
+        assert bf.exact_log2_bounds(Fraction(big + 1, big), 10**6 // 400) == (1, 0)
+        assert bf.exact_log2_bounds(Fraction(big - 1, big), 3) == (0, -1)
+
+    def test_nonpositive_and_budget(self):
+        for q in (Fraction(0), Fraction(-3, 2)):
+            for call in (bf.floor_log2, bf.ceil_log2):
+                with pytest.raises(bf.DomainError, match="requires a positive argument"):
+                    call(q)
+        # the guard reads the bits of the numerator and denominator: 2 + 2 for 3/2
+        assert bf.exact_log2_bounds(Fraction(3, 2), 250_000)[0] == 146_241
+        with pytest.raises(bf.BudgetExceededError, match=r"^a\^250001 would exceed the 1000000-bit budget$"):
+            bf.exact_log2_bounds(Fraction(3, 2), 250_001)
 
 
 class TestFloorsAndParsing:
