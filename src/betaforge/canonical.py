@@ -121,10 +121,6 @@ def m_beta_fast(beta: BetaSpec, x: str, bounds: Optional[ConjugateBounds] = None
             raise SizeGuardError(
                 f"{len(level)} classes alive at level {i}, above the sweep cap {SWEEP_CLASS_CAP}"
             )
-        if not level:
-            raise DomainError("level sweep lost all candidates; invalid input word")
-    if len(level) != 1:
-        raise BetaForgeError("level sweep ended with multiple exact-value survivors")
     return level[0][1], FastRunStats(tuple(counts), steps, width_bound)
 
 

@@ -303,11 +303,6 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
                 f"approximant {float(a):.6g} cannot reach the claimed lower bracket "
                 f"{float(beta.lo):.6g}; stream bits inconsistent with brackets"
             )
-    if approximants[0] < 1 + (beta.lo - 1) / 10:
-        raise InvariantViolation(
-            f"first approximant {float(approximants[0]):.6g} below the conservative floor; "
-            "stream bits inconsistent with brackets"
-        )
 
     def sigma(i):
         return _ceil_log2_ratio(*_int_powers(approximants[i + 1], n_chunk * i)) - params.floor_log2_C if i else 0

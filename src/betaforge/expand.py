@@ -331,8 +331,7 @@ def lazy_expand(beta: BetaSpec, s: ExactReal, n: int) -> str:
     """n-digit prefix of the lexicographically minimal expansion of s."""
     b = beta_value(beta)
     _check_in_domain(b, s)
-    hi = 1 / (b * (b - 1))
-    return _orbit(b, s, n, lambda i, sign, _: (sign(0) > 0, None), (hi,))[0]
+    return _orbit(b, s, n, lambda i, sign, _: (sign(0) > 0, None), _region(b)[1:])[0]
 
 
 def random_expand(beta: BetaSpec, s: ExactReal, n: int, tosses: BitStream):

@@ -21,7 +21,8 @@ walk of `algebraic._window_walk`, in the integer frame of the level sweep;
 g_beta_window groups the walk's leaves into value classes with it, so no
 word's value is computed twice.  This module counts the listed words
 against SET_GUARD.  nu_measure counts whole subtrees in a walk of its own,
-on exact values (`_window_table`, one `exact_cmp` per bound test).
+on exact values (`_window_table`, one `exact_cmp` per bound test), and
+counts its visited prefixes against the walk's cap, EQUIV_NODE_CAP.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .numerics import (
     _least_power,
 )
 from .expand import delta_finite, tail_bound, validate_bits, _check_in_domain, _delta2, _tail, _word_value
+from . import algebraic
 from .algebraic import ClassPartition, _window_walk
 
 __all__ = [
@@ -227,7 +229,10 @@ def enumerate_expansions(beta: BetaSpec, s: ExactReal, n: int):
 def nu_measure(beta: BetaSpec, m: int, interval: Interval) -> Fraction:
     """Mass 2^-m * #{words u of length m : value(u) in interval}, counted
     exactly with subtree pruning: a subtree is skipped when its reachable
-    value interval misses `interval` and counted wholesale when contained."""
+    value interval misses `interval` and counted wholesale when contained.
+    m above NU_BUDGET is a BudgetExceededError, and more than
+    `algebraic.EQUIV_NODE_CAP` visited prefixes, the cap of every window
+    walk, a SizeGuardError."""
     if m < 0:
         raise DomainError("m must be nonnegative")
     if m > NU_BUDGET:
@@ -235,15 +240,19 @@ def nu_measure(beta: BetaSpec, m: int, interval: Interval) -> Fraction:
     b = beta_value(beta)
     inv_pows, remaining = _window_table(b, m)
     lo, hi = interval.lo, interval.hi
+    cap = algebraic.EQUIV_NODE_CAP
+    visited = 0
 
     def count(i: int, v: ExactReal) -> int:
+        nonlocal visited
+        visited += 1
+        if visited > cap:
+            raise SizeGuardError(f"measure search visited more than {cap} prefixes")
         top = v + remaining[i]
         if exact_cmp(v, hi) > 0 or exact_cmp(top, lo) < 0:
             return 0
         if exact_cmp(v, lo) >= 0 and exact_cmp(top, hi) <= 0:
             return 1 << (m - i)
-        if i == m:
-            return 1 if interval.contains(v) else 0
         return count(i + 1, v) + count(i + 1, v + inv_pows[i + 1])
 
     return Fraction(count(0, b - b), 1 << m)

@@ -151,11 +151,12 @@ class NumberFieldContext:
 
     Every root enclosure is a `bracket` and every interval evaluation is
     `filter_bounds` over one, so signs and enclosures are pure functions of
-    the context and the request; the memos hold only such values, so
+    the context and the request.  The one memo, `_powers`, holds the root
+    powers of `filter_bounds` per precision, a value of the same kind, so
     contexts are safe to share across threads.
     """
 
-    __slots__ = ("minpoly", "degree", "isolating", "_brackets", "_powers")
+    __slots__ = ("minpoly", "degree", "isolating", "_powers")
 
     def __init__(self, minpoly: Sequence[int], isolating: tuple[Fraction, Fraction]):
         coeffs = tuple(int(c) for c in minpoly)
@@ -179,7 +180,6 @@ class NumberFieldContext:
         elif slo == shi:
             raise MalformedContextError("minimal polynomial does not change sign over the isolating interval")
         self.isolating = (lo, hi)
-        self._brackets = {}
         self._powers = {}
 
     def _poly_sign(self, num: int, den: int) -> int:
@@ -201,11 +201,8 @@ class NumberFieldContext:
     def bracket(self, max_width: Fraction) -> tuple[Fraction, Fraction]:
         """Root bracket of width at most `max_width`, bisected from the
         isolating interval: a pure function of the minimal polynomial, the
-        isolating interval and `max_width`.  Memoized per width.  A width of
-        0 or below is a DomainError at once."""
-        got = self._brackets.get(max_width)
-        if got is not None:
-            return got
+        isolating interval and `max_width`.  A width of 0 or below is a
+        DomainError at once."""
         if max_width <= 0:
             raise DomainError(f"bracket width must be positive, got {max_width}")
         lo, hi = self.isolating
@@ -220,11 +217,9 @@ class NumberFieldContext:
             if s_mid == 0:
                 # mid is the root itself; pin an interval around it
                 root, eps = Fraction(mid, den), w / 4
-                got = self._brackets[max_width] = (root - eps, root + eps)
-                return got
+                return root - eps, root + eps
             p, q = (2 * p, mid) if s_mid == s_hi else (mid, 2 * q)
-        got = self._brackets[max_width] = (Fraction(p, den), Fraction(q, den))
-        return got
+        return Fraction(p, den), Fraction(q, den)
 
     def refine(self, max_width: Fraction) -> tuple[Fraction, Fraction]:
         """The same as `bracket`.  The name stays because the benchmark's
@@ -615,34 +610,34 @@ def exact_float(x: ExactReal) -> float:
 
 
 def exact_floor(x: ExactReal) -> int:
+    """Greatest integer k <= x.  On a field element, k = floor(lo) of a
+    1/4-wide enclosure [lo, hi] satisfies k <= x < k + 2, so one exact
+    comparison with k + 1 decides."""
     if isinstance(x, Fraction):
         return x.numerator // x.denominator
-    lo, hi = x.enclosure(Fraction(1, 4))
+    lo, _ = x.enclosure(Fraction(1, 4))
     k = lo.numerator // lo.denominator
-    # walk to the unique k with k <= x < k+1, deciding boundaries exactly
-    while exact_cmp(x, k) < 0:
-        k -= 1
-    while exact_cmp(x, k + 1) >= 0:
-        k += 1
-    return k
+    return k + 1 if exact_cmp(x, k + 1) >= 0 else k
 
 
 def floor_log2(a: ExactReal) -> int:
     """Greatest m with 2^m <= a, for a > 0, decided exactly; on a rational
-    p/r it is -ceil(log2(r/p))."""
+    p/r it is -ceil(log2(r/p)).  On a field element, `filter_bounds` of its
+    coordinates at doubling precision give integers 0 < lo <= a*den*2^bits
+    <= hi < 2*lo, so floor(log2(lo / (den*2^bits))) = m puts the answer at m
+    or m + 1, and one exact comparison with 2^(m+1) decides."""
     if exact_sign(a) <= 0:
         raise DomainError("floor_log2 requires a positive argument")
     if isinstance(a, Fraction):
         return -_ceil_log2_ratio(a.denominator, a.numerator)
-    lo, _ = a.enclosure(Fraction(1, 16))
-    if lo <= 0:
-        lo, _ = a.enclosure(Fraction(1, 1 << 40))
-    m = floor_log2(lo) if lo > 0 else 0
-    while exact_cmp(a, Fraction(2) ** m) < 0:
-        m -= 1
-    while exact_cmp(a, Fraction(2) ** (m + 1)) >= 0:
-        m += 1
-    return m
+    bits = FILTER_BITS
+    while True:
+        lo, hi = a.ctx.filter_bounds(a.num, bits)
+        if 0 < lo and hi < 2 * lo:
+            break
+        bits *= 2
+    m = -_ceil_log2_ratio(a.den << bits, lo)
+    return m + 1 if exact_cmp(a, Fraction(2) ** (m + 1)) >= 0 else m
 
 
 def ceil_log2(a: ExactReal) -> int:

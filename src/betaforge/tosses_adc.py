@@ -204,6 +204,4 @@ def denoise_pipeline(
         raise DomainError(f"pipeline requires a sound quantizer: {check.reason}")
     record = adc_run(beta, q, s, n, tosses)
     canonical, stats = m_beta_fast(beta, record.bits, bounds)
-    if canonical < record.bits:
-        raise DomainError("canonicalization produced a lexicographically smaller word; internal error")
     return PipelineResult(record.bits, canonical, record, stats)

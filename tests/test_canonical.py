@@ -104,6 +104,30 @@ class TestFast:
         with pytest.raises(bf.PisotWidthError):
             bf.m_beta_fast(sqrt2.beta, x, wrong)
 
+    def test_rational_base_with_pisot_bounds(self):
+        # a rational base's width bound reads its value, not a bracket:
+        # 1 / ((3/2 - 1) * pi_lower)
+        spec = bf.RationalBeta(Fraction(3, 2))
+        word, stats = bf.m_beta_fast(spec, "1011", bf.ConjugateBounds(Fraction(1, 8), Fraction(1), 0, True))
+        assert (word, stats.per_level_class_counts, stats.pisot_width_bound) == ("1011", (1, 2, 2, 1), 16)
+        with pytest.raises(bf.PisotWidthError, match="^3 classes alive at level 4, above the declared bound 2$"):
+            bf.m_beta_fast(spec, "10110111", bf.ConjugateBounds(Fraction(1), Fraction(1), 0, True))
+
+    def test_empty_word(self, golden):
+        assert bf.m_beta_fast(golden.beta, "", golden.bounds) == ("", bf.FastRunStats((), 0, None))
+
+    @pytest.mark.parametrize("name", ["golden", "tribonacci", "sqrt2", "3/2"])
+    def test_maximum_of_the_class_on_every_short_word(self, name):
+        # every word of 1 to 10 digits lies in its own class, and the sweep
+        # returns that class's lexicographic maximum
+        spec, bounds, _ = base(name)
+        for n in range(1, 11):
+            for k in range(1 << n):
+                x = format(k, f"0{n}b")
+                members = bf.equiv_class(spec, x)
+                assert x in members
+                assert bf.m_beta_fast(spec, x, bounds)[0] == max(members)
+
 
 class TestSweepCap:
     # random words on which a non-Pisot base keeps more than 2^16 classes

@@ -347,6 +347,38 @@ class TestConvertStream:
         with pytest.raises(bf.InvariantViolation):
             bf.convert_stream(bad, "0" * 400, 2)
 
+    def test_bits_past_the_upper_bracket(self):
+        bad = bf.beta_from_json({"bits": "1" * 400, "lo": "3/2", "hi": "8/5"})
+        with pytest.raises(bf.InvariantViolation, match="^approximants not nondecreasing within brackets: "):
+            bf.convert_stream(bad, "0" * 400, 2)
+
+    def test_first_approximant_below_the_floor(self):
+        # 1 + 2^-7 lies below the floor 1 + (lo - 1)/10 = 21/20, and so
+        # more than 2^-L below lo: the lower bracket check refuses it
+        bad = bf.beta_from_json({"bits": "0000001" + "0" * 400, "lo": "3/2", "hi": "8/5"})
+        assert 1 + Fraction(1, 1 << 7) < 1 + (Fraction(3, 2) - 1) / 10
+        with pytest.raises(bf.InvariantViolation, match="stream bits inconsistent with brackets$"):
+            bf.convert_stream(bad, "0" * 400, 2)
+
+    @pytest.mark.parametrize("step", [0, 1])
+    def test_chunk_cut_is_the_next_approximant(self, step):
+        # beta - 1 reads as 3/5 = 0.(1001) up to bit lam(step) and as ones
+        # after it, so 8/5 lies between the approximants a_step and
+        # a_(step+1), and the first chunk's value 5/8 between their cuts: the
+        # greedy chunk against 1/a_1 starts with 1 - step, one against the
+        # cut of a_0 (step 0) or a_2 (step 1) with step
+        lo, hi = "3/2", "13/8"
+        params = bf.params_stream(bf.beta_from_json({"bits": "", "lo": lo, "hi": hi}))
+        jump = params.lam(step)
+        bits = ("1001" * jump)[:jump] + "1" * (params.lam(3) - jump)
+        res = bf.convert_stream(bf.beta_from_json({"bits": bits, "lo": lo, "hi": hi}), "101" + "0" * 300, 2)
+        a = res.approximants
+        assert a[step] < Fraction(8, 5) <= a[step + 1]
+        assert res.diagnostics[0].injected == Fraction(5, 8)
+        chunk = res.bits[: params.N]
+        assert chunk == bf.greedy_expand(bf.RationalBeta(a[1]), Fraction(5, 8), params.N)
+        assert chunk[0] == str(1 - step)
+
 
 def test_algebraic_brackets_ignore_process_history(golden, tribonacci):
     """Stream brackets, schedules, bits and the sweep's width bound are the

@@ -260,7 +260,7 @@ class TestAgainstFractionOrbit:
 FLIP = str.maketrans("01", "10")
 
 
-@pytest.mark.parametrize("name", ["3/2", "9/5", "golden", "tribonacci"])
+@pytest.mark.parametrize("name", ["3/2", "9/5", "golden", "tribonacci", "sqrt2"])
 @settings(max_examples=40, deadline=None)
 @given(t=st.fractions(0, 1, max_denominator=1 << 20), n=st.integers(0, 200))
 @example(t=Fraction(0), n=200)

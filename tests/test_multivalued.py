@@ -147,6 +147,12 @@ class TestF2ToBeta:
         cs = bf.f_2_to_beta(golden.beta, "000")
         assert "0" * cs.length in cs.words
 
+    def test_membership(self, golden):
+        cs = bf.f_2_to_beta(golden.beta, "1010")
+        assert cs.length == 6 and len(cs) == 12
+        assert all(w in cs for w in cs.words)
+        assert "000000" not in cs and "111111" not in cs and "0101" not in cs
+
     def test_golden_matches_bruteforce_scan(self, golden):
         cs = bf.f_2_to_beta(golden.beta, "1")
         # independent scan: all words w of the carried length with
@@ -218,6 +224,13 @@ class TestGBetaWindow:
             part = bf.g_beta_window(golden.beta, x)
             iota = part.index_of(x)
             assert x in part.classes[iota - 1].members
+
+    def test_index_of_an_absent_word(self, golden):
+        part = bf.g_beta_window(golden.beta, "1010")
+        assert part.index_of("1010") == 3
+        for word in ("0000", "1111", "101"):
+            with pytest.raises(bf.DomainError, match="is not in any class of this partition$"):
+                part.index_of(word)
 
 
 class TestF1ToAll:
@@ -420,6 +433,7 @@ def test_window_walks_share_the_node_cap(golden, monkeypatch):
         ("expansion", bf.enumerate_expansions, Fraction(1), 6),
         ("window", bf.g_beta_window, "110010"),
         ("window", bf.f_2_to_beta, "1010"),
+        ("measure", bf.nu_measure, 12, bf.Interval(Fraction(1, 2), Fraction(1))),
     ]
     for kind, call, *args in calls:
         with pytest.raises(bf.SizeGuardError, match=f"^{kind} search visited more than 10 prefixes$"):
@@ -468,6 +482,16 @@ class TestNuMeasure:
     def test_budget(self, golden):
         with pytest.raises(bf.BudgetExceededError):
             bf.nu_measure(golden.beta, 31, bf.Interval(Fraction(0), Fraction(1)))
+
+    def test_node_cap_counts_visited_prefixes(self, golden, monkeypatch):
+        # m = 12 on [1/2, 1] visits 183 prefixes of golden: one over the cap
+        # is a SizeGuardError, at the cap the mass is unchanged
+        interval = bf.Interval(Fraction(1, 2), Fraction(1))
+        monkeypatch.setattr(bf.algebraic, "EQUIV_NODE_CAP", 182)
+        with pytest.raises(bf.SizeGuardError, match="^measure search visited more than 182 prefixes$"):
+            bf.nu_measure(golden.beta, 12, interval)
+        monkeypatch.setattr(bf.algebraic, "EQUIV_NODE_CAP", 183)
+        assert bf.nu_measure(golden.beta, 12, interval) == Fraction(1705, 4096)
 
     def test_matches_direct_count(self, rng):
         beta = Fraction(3, 2)

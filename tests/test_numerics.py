@@ -313,3 +313,70 @@ class TestFloorsAndParsing:
             bf.RationalBeta(Fraction(5, 2))
         with pytest.raises(bf.DomainError):
             bf.RationalBeta(Fraction(1))
+
+
+class TestFieldFloors:
+    # exact_floor, floor_log2 and ceil_log2 on field elements against their
+    # definitions, decided by exact comparison: exact powers of two (sqrt2^2,
+    # sqrt2^6, cbrt2^6, cbrt2^-300), elements far below 1 and far above it,
+    # and random coordinates
+    @pytest.mark.parametrize("name", ["golden", "tribonacci", "sqrt2", "cbrt2"])
+    def test_definitions(self, name, rng):
+        b = bf.get_preset(name).beta.element()
+        one = b - b + 1
+        elements = [b, b * b, b**6, b**-1, (b - 1) ** 120, b**200, b**-200, b**-300, one * 2, one / 3]
+        elements += [b**k * Fraction(2) ** j for k in (-7, 0, 5) for j in (-40, 0, 40)]
+        elements += [
+            NumberFieldElement(b.ctx, [Fraction(rng.randrange(-10**9, 10**9), rng.randrange(1, 10**6)) for _ in b.num])
+            for _ in range(30)
+        ]
+        for e in elements:
+            k = bf.exact_floor(e)
+            assert bf.exact_cmp(e, k) >= 0 > bf.exact_cmp(e, k + 1)
+            if bf.exact_sign(e) <= 0:
+                continue
+            f, c = bf.floor_log2(e), bf.ceil_log2(e)
+            assert bf.exact_cmp(e, Fraction(2) ** f) >= 0 > bf.exact_cmp(e, Fraction(2) ** (f + 1))
+            assert bf.exact_cmp(e, Fraction(2) ** (c - 1)) > 0 >= bf.exact_cmp(e, Fraction(2) ** c)
+
+
+class TestContextEdges:
+    def test_generator_of_a_degree_one_context(self):
+        g = NumberFieldElement.generator(INVERSE_CONTEXTS["degree1"])
+        assert g.coeffs == (Fraction(3, 2),)
+        assert g == Fraction(3, 2)
+
+    def test_bracket_bisection_lands_on_a_rational_root(self):
+        # the first midpoint of (5/4, 7/4) is the root 3/2 of 2x - 3
+        ctx = INVERSE_CONTEXTS["degree1"]
+        for w in (Fraction(1, 4), Fraction(1, 1 << 30)):
+            assert ctx.bracket(w) == (Fraction(3, 2) - w / 4, Fraction(3, 2) + w / 4)
+
+    def test_isolating_endpoint_on_a_root(self):
+        # a rational root may sit on an endpoint; 2x^2 - x - 3 = (2x - 3)(x + 1)
+        # has its root 3/2 there too, but at degree 2 it is rejected
+        ctx = NumberFieldContext([-3, 2], (Fraction(3, 2), Fraction(7, 4)))
+        assert NumberFieldElement.generator(ctx) == Fraction(3, 2)
+        lo, hi = ctx.bracket(Fraction(1, 1 << 20))
+        assert lo <= Fraction(3, 2) <= hi and hi - lo <= Fraction(1, 1 << 20)
+        with pytest.raises(bf.MalformedContextError, match="^isolating endpoint is a root$"):
+            NumberFieldContext([-3, -1, 2], (Fraction(3, 2), Fraction(7, 4)))
+
+    def test_trailing_zero_coefficients_are_trimmed(self):
+        ctx = NumberFieldContext([-1, -1, 1, 0, 0], (Fraction(3, 2), Fraction(5, 3)))
+        assert (ctx.minpoly, ctx.degree) == ((-1, -1, 1), 2)
+        assert NumberFieldElement.generator(ctx) ** 2 == NumberFieldElement.generator(ctx) + 1
+
+    def test_order_comparisons_and_negative_powers(self):
+        g = NumberFieldElement.generator(make_golden_ctx())
+        assert g <= g and g >= g
+        assert g <= 2 and not g >= 2 and g >= Fraction(8, 5) and not g <= Fraction(8, 5)
+        assert g**-1 == g - 1
+        assert g**-3 * g**3 == 1 and g**-3 == (g - 1) ** 3
+
+    def test_interval_contains(self):
+        g = NumberFieldElement.generator(make_golden_ctx())
+        iv = bf.Interval(Fraction(1), g)
+        assert iv.contains(Fraction(1)) and iv.contains(Fraction(8, 5)) and iv.contains(g)
+        assert not iv.contains(Fraction(13, 8)) and not iv.contains(Fraction(1, 2))
+        assert bf.Interval(g, g).contains(g) and not bf.Interval(g, g).contains(g - 1)
