@@ -52,7 +52,6 @@ from .expand import (
 from .algebraic import (
     ClassPartition,
     ConjugateBounds,
-    MinPolyData,
     Preset,
     ValueClass,
     builtin_presets,

@@ -33,7 +33,10 @@ from .numerics import (
     MalformedContextError,
     NumberFieldContext,
     SizeGuardError,
+    beta_from_json,
     beta_value,
+    parse_rational,
+    _json_rational,
     _zcoords,
     _zdiv_beta,
     _zelement,
@@ -42,7 +45,6 @@ from .numerics import (
 from .expand import validate_bits
 
 __all__ = [
-    "MinPolyData",
     "ConjugateBounds",
     "Preset",
     "ClassPartition",
@@ -60,34 +62,6 @@ EQUIV_NODE_CAP = 1 << 21
 
 
 @dataclass(frozen=True)
-class MinPolyData:
-    """Integer minimal-polynomial coefficients in ascending degree order.
-
-    Irreducibility is asserted by the caller, not re-proved here.
-    """
-
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        cs = tuple(int(c) for c in self.coefficients)
-        object.__setattr__(self, "coefficients", cs)
-        if len(cs) < 2 or cs[-1] <= 0:
-            raise DomainError("minimal polynomial needs degree >= 1 and positive leading coefficient")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    @property
-    def leading(self) -> int:
-        return self.coefficients[-1]
-
-    @property
-    def constant(self) -> int:
-        return self.coefficients[0]
-
-
-@dataclass(frozen=True)
 class ConjugateBounds:
     """Certified rational bounds on conjugate products of the base.
 
@@ -96,6 +70,8 @@ class ConjugateBounds:
     unit circle, and k_beta counts conjugates exactly on the unit circle.
     The pisot flag is declared data; its observable consequence (bounded
     per-level class counts) is checked at runtime by the canonicalizer.
+    Built-in and user presets alike are checked here: a nonpositive
+    pi_lower, a bplus_upper below 1 or a negative k_beta is a DomainError.
     """
 
     pi_lower: Fraction
@@ -117,21 +93,43 @@ class ConjugateBounds:
 
 @dataclass(frozen=True)
 class Preset:
+    """A named algebraic base with its conjugate bounds.  The minimal
+    polynomial and isolating interval live once, in `beta.ctx`; every preset,
+    built-in or from BETA_FORGE_PRESETS, is built by `_preset`."""
+
     name: str
     beta: AlgebraicBeta
-    data: MinPolyData
     bounds: ConjugateBounds
 
 
-def _mk_preset(name, minpoly, isolating, pi_lower, bplus_upper, k_beta, pisot):
-    ctx = NumberFieldContext(minpoly, (Fraction(isolating[0]), Fraction(isolating[1])))
-    return Preset(
-        name=name,
-        beta=AlgebraicBeta(ctx),
-        data=MinPolyData(tuple(minpoly)),
-        bounds=ConjugateBounds(pi_lower, bplus_upper, k_beta, pisot, provenance="preset"),
-    )
+def _preset(name: str, obj, provenance: str) -> Preset:
+    """The preset `name` from its BETA_FORGE_PRESETS object form: "minpoly"
+    and "isolating" as `beta_from_json` reads them, "pi_lower" and
+    "bplus_upper" as rationals, an integer "k_beta" (default 0) and a JSON
+    boolean "pisot" (default false).  Any malformed field is a
+    BetaForgeError."""
+    beta = beta_from_json(obj)
+    if not isinstance(beta, AlgebraicBeta):
+        raise DomainError("a preset needs minpoly and isolating")
+    k_beta = parse_rational(str(obj.get("k_beta", 0)))
+    if k_beta.denominator != 1:
+        raise DomainError("k_beta must be an integer")
+    pisot = obj.get("pisot", False)
+    if not isinstance(pisot, bool):
+        raise DomainError(f"pisot must be a JSON boolean, got {pisot!r}")
+    pi_lower, bplus_upper = _json_rational(obj, "pi_lower"), _json_rational(obj, "bplus_upper")
+    return Preset(name, beta, ConjugateBounds(pi_lower, bplus_upper, int(k_beta), pisot, provenance))
 
+
+# the built-in bases, each written as a BETA_FORGE_PRESETS entry
+_BUILTIN = {
+    "golden": {"minpoly": [-1, -1, 1], "isolating": ["3/2", "5/3"],
+               "pi_lower": "38/100", "bplus_upper": "1618034/1000000", "pisot": True},
+    "sqrt2": {"minpoly": [-2, 0, 1], "isolating": ["7/5", "3/2"], "pi_lower": "2/5", "bplus_upper": "2"},
+    "cbrt2": {"minpoly": [-2, 0, 0, 1], "isolating": ["5/4", "13/10"], "pi_lower": "67/1000", "bplus_upper": "2"},
+    "tribonacci": {"minpoly": [-1, -1, -1, 1], "isolating": ["9/5", "15/8"],
+                   "pi_lower": "68/1000", "bplus_upper": "184/100", "pisot": True},
+}
 
 _PRESETS: dict[str, Preset] = {}
 
@@ -139,22 +137,7 @@ _PRESETS: dict[str, Preset] = {}
 def builtin_presets() -> dict[str, Preset]:
     """Registry of built-in bases keyed by name; constructed once and shared."""
     if not _PRESETS:
-        _PRESETS["golden"] = _mk_preset(
-            "golden", [-1, -1, 1], ("3/2", "5/3"),
-            Fraction(38, 100), Fraction(1_618_034, 1_000_000), 0, True,
-        )
-        _PRESETS["sqrt2"] = _mk_preset(
-            "sqrt2", [-2, 0, 1], ("7/5", "3/2"),
-            Fraction(2, 5), Fraction(2), 0, False,
-        )
-        _PRESETS["cbrt2"] = _mk_preset(
-            "cbrt2", [-2, 0, 0, 1], ("5/4", "13/10"),
-            Fraction(67, 1000), Fraction(2), 0, False,
-        )
-        _PRESETS["tribonacci"] = _mk_preset(
-            "tribonacci", [-1, -1, -1, 1], ("9/5", "15/8"),
-            Fraction(68, 1000), Fraction(184, 100), 0, True,
-        )
+        _PRESETS.update((name, _preset(name, obj, "preset")) for name, obj in _BUILTIN.items())
     return _PRESETS
 
 
@@ -165,18 +148,21 @@ def get_preset(name: str) -> Preset:
     return presets[name]
 
 
-def separation_bound(data: MinPolyData, bounds: ConjugateBounds, n: int) -> Fraction:
+def separation_bound(bounds: ConjugateBounds, n: int) -> Fraction:
     """Certified positive lower bound on |value(x) - value(y)| over all
-    non-equivalent pairs of length-n words."""
+    non-equivalent pairs of length-n words:
+    pi_lower / (n^k_beta * bplus_upper^n), read from the conjugate bounds
+    alone."""
     if n < 1:
         raise DomainError("word length must be >= 1")
     return bounds.pi_lower / (Fraction(n) ** bounds.k_beta * bounds.bplus_upper ** n)
 
 
-def is_generalized_garsia(data: MinPolyData) -> bool:
-    """Monic with |constant coefficient| >= 2: finite digit sums never collide,
-    so canonicalization is the identity."""
-    return data.leading == 1 and abs(data.constant) >= 2
+def is_generalized_garsia(ctx: NumberFieldContext) -> bool:
+    """The context's minimal polynomial is monic with |constant coefficient|
+    >= 2: finite digit sums never collide, so canonicalization is the
+    identity."""
+    return ctx.minpoly[-1] == 1 and abs(ctx.minpoly[0]) >= 2
 
 
 def _weight_walk(beta: BetaSpec, n: int, words: Sequence[str] = ()):

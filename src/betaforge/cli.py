@@ -32,7 +32,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .numerics import (
-    AlgebraicBeta,
     BetaForgeError,
     BetaSpec,
     DomainError,
@@ -42,7 +41,6 @@ from .numerics import (
     exact_float,
     format_rational,
     parse_rational,
-    _json_rational,
 )
 from .expand import (
     BitStream,
@@ -58,7 +56,7 @@ from .convert import (
     params_stream,
     stream_from_exact,
 )
-from .algebraic import Preset, ConjugateBounds, MinPolyData, builtin_presets, separation_bound
+from .algebraic import Preset, builtin_presets, separation_bound, _preset
 from .canonical import m_beta_bruteforce, m_beta_fast
 from .multivalued import enumerate_expansions, g_beta_window, nu_measure
 from .pairing import decode_pairing, encode_pairing
@@ -119,25 +117,9 @@ def _load_env_presets() -> dict[str, Preset]:
     out = {}
     for name, obj in data.items():
         try:
-            beta = beta_from_json(obj)
-            if not isinstance(beta, AlgebraicBeta):
-                raise DomainError("a preset needs minpoly and isolating")
-            k_beta = parse_rational(str(obj.get("k_beta", 0)))
-            if k_beta.denominator != 1:
-                raise DomainError("k_beta must be an integer")
-            pisot = obj.get("pisot", False)
-            if not isinstance(pisot, bool):
-                raise DomainError(f"pisot must be a JSON boolean, got {pisot!r}")
-            bounds = ConjugateBounds(
-                _json_rational(obj, "pi_lower"),
-                _json_rational(obj, "bplus_upper"),
-                int(k_beta),
-                pisot,
-                provenance="user",
-            )
+            out[name] = _preset(name, obj, "user")
         except BetaForgeError as exc:
             raise DomainError(f"{PRESETS_ENV} preset {name!r}: {exc}") from exc
-        out[name] = Preset(name, beta, MinPolyData(beta.ctx.minpoly), bounds)
     return out
 
 
@@ -317,7 +299,7 @@ def _bounds(args, beta, preset):
         raise DomainError("bounds: base 2 has no separation bound and no converter schedule")
     lines = {}
     if preset is not None and args.n is not None:
-        lines["separation"] = format_rational(separation_bound(preset.data, preset.bounds, args.n))
+        lines["separation"] = format_rational(separation_bound(preset.bounds, args.n))
     if isinstance(beta, RationalBeta):
         n = 4 if args.n is None else args.n
         if n < 0:

@@ -236,9 +236,9 @@ def params_stream(beta: StreamBeta) -> StreamConvParams:
     n_chunk = _least_power(floor, 2 * (2 - floor) / (2 - hi))
     # correction cap shrinks as beta grows; evaluate at the upper bracket
     c_lower = (hi / (2 * (hi - 1)) - 1) / 3
-    if c_lower <= 0:
-        raise DomainError("brackets leave no room for the correction cap; hi too close to 2")
     log2_beta_ub = _dyadic_log2_upper(hi)
+    if log2_beta_ub >= 1:
+        raise DomainError("brackets leave no room for the schedule; hi too close to 2")
     arg = Fraction(9, 10) * min(Fraction(1), c_lower) * (lo - 1) * (1 - log2_beta_ub) ** 2
     big_l = 1 + ceil_log2(1 / arg)
     return StreamConvParams(n_chunk, big_l, c_lower, floor_log2(c_lower), lo, hi)

@@ -149,6 +149,13 @@ class NumberFieldContext:
     """A real algebraic number: integer minimal polynomial plus an isolating
     rational interval containing exactly one real root in (1, 2).
 
+    The constructor trims trailing zero coefficients and rejects a degree
+    below 1, a leading coefficient that is not positive, and an interval
+    over which the polynomial does not change sign.  Irreducibility is not
+    proved up front: a reducible polynomial surfaces as
+    MalformedContextError at the first sign (`sign_of_coeffs`) or inverse
+    that it fails.
+
     Every root enclosure is a `bracket` and every interval evaluation is
     `filter_bounds` over one, so signs and enclosures are pure functions of
     the context and the request.  The one memo, `_powers`, holds the root

@@ -164,7 +164,7 @@ def _min_gap_lower_bound(minpoly, iso, n, bits=150):
 def test_c06_separation_soundness(golden, sqrt2):
     for preset, poly, iso in [(golden, GOLDEN_POLY, ("3/2", "5/3")), (sqrt2, SQRT2_POLY, ("7/5", "3/2"))]:
         for n in range(1, 13):
-            bound = bf.separation_bound(preset.data, preset.bounds, n)
+            bound = bf.separation_bound(preset.bounds, n)
             true_gap_lb = _min_gap_lower_bound(poly, iso, n)
             assert bound <= true_gap_lb, f"{preset.name} n={n}"
     print("\nPASS criterion 6: separation bound below the exhaustive minimum gap, n <= 12, golden and sqrt2")

@@ -57,17 +57,17 @@ def _power_coords(minpoly, n):
 
 class TestSeparation:
     def test_golden_length_three(self, golden):
-        bound = bf.separation_bound(golden.data, golden.bounds, 3)
+        bound = bf.separation_bound(golden.bounds, 3)
         assert bound <= min_gap_lower_bound(GOLDEN_POLY, ("3/2", "5/3"), 3)
         assert float(bound) < 0.0898  # 0.38 / bplus^3
 
     def test_sqrt2_length_two(self, sqrt2):
-        bound = bf.separation_bound(sqrt2.data, sqrt2.bounds, 2)
+        bound = bf.separation_bound(sqrt2.bounds, 2)
         assert bound == Fraction(1, 10)
         assert bound <= min_gap_lower_bound(SQRT2_POLY, ("7/5", "3/2"), 2)
 
     def test_golden_length_one(self, golden):
-        bound = bf.separation_bound(golden.data, golden.bounds, 1)
+        bound = bf.separation_bound(golden.bounds, 1)
         assert bound == Fraction(38, 100) / golden.bounds.bplus_upper
         # the only nonzero length-1 gap is 1/G ~ 0.618
         assert float(bound) < 0.618
@@ -75,12 +75,12 @@ class TestSeparation:
     def test_sound_for_small_lengths(self, golden, sqrt2):
         for preset, poly, iso in [(golden, GOLDEN_POLY, ("3/2", "5/3")), (sqrt2, SQRT2_POLY, ("7/5", "3/2"))]:
             for n in range(1, 9):
-                bound = bf.separation_bound(preset.data, preset.bounds, n)
+                bound = bf.separation_bound(preset.bounds, n)
                 assert bound <= min_gap_lower_bound(poly, iso, n)
 
     def test_rejects_zero_length(self, golden):
         with pytest.raises(bf.DomainError):
-            bf.separation_bound(golden.data, golden.bounds, 0)
+            bf.separation_bound(golden.bounds, 0)
 
 
 class TestEquiv:
@@ -139,9 +139,9 @@ class TestEquivClass:
 
     def test_class_c_singletons(self, sqrt2, cbrt2):
         for preset in (sqrt2, cbrt2):
-            assert bf.is_generalized_garsia(preset.data)
+            assert bf.is_generalized_garsia(preset.beta.ctx)
             for n in range(1, 13):
-                groups = group_by_value(list(preset.data.coefficients), n)
+                groups = group_by_value(list(preset.beta.ctx.minpoly), n)
                 assert all(len(ws) == 1 for ws in groups.values())
 
     def test_node_cap(self, monkeypatch):
@@ -206,16 +206,16 @@ class TestSharedWalk:
 
 class TestGarsiaPredicate:
     def test_sqrt2(self):
-        assert bf.is_generalized_garsia(bf.MinPolyData((-2, 0, 1)))
+        assert bf.is_generalized_garsia(bf.NumberFieldContext((-2, 0, 1), ("7/5", "3/2")))
 
     def test_golden(self):
-        assert not bf.is_generalized_garsia(bf.MinPolyData((-1, -1, 1)))
+        assert not bf.is_generalized_garsia(bf.NumberFieldContext((-1, -1, 1), ("3/2", "5/3")))
 
     def test_cbrt2(self):
-        assert bf.is_generalized_garsia(bf.MinPolyData((-2, 0, 0, 1)))
+        assert bf.is_generalized_garsia(bf.NumberFieldContext((-2, 0, 0, 1), ("5/4", "13/10")))
 
     def test_non_monic(self):
-        assert not bf.is_generalized_garsia(bf.MinPolyData((-3, 0, 2)))
+        assert not bf.is_generalized_garsia(bf.NumberFieldContext((-3, 0, 2), ("6/5", "5/4")))
 
 
 class TestPartition:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import betaforge as bf
 from betaforge import cli
+from betaforge.algebraic import _BUILTIN
 from betaforge.cli import COMMANDS, parse_tosses, run_command
 from betaforge.pairing import PAIRING_CAP, decode_pairing, encode_pairing
 from oracles import decode_pairing_by_lengths
@@ -194,6 +196,12 @@ class TestSubcommands:
             assert status == 1 and out == ""
             assert err.startswith("error:") and "--n must be nonnegative" in err
 
+    def test_bounds_near_two(self):
+        """19999/10000 lies 1/10000 below 2, so its schedule still exists."""
+        status, out, err = run_command(["bounds", "--beta", "19999/10000"])
+        assert (status, err) == (0, "")
+        assert out.splitlines()[-1] == 'stream_params={"C_lower":"1/59994","L":46,"N":103}'
+
     def test_canonicalize_non_pisot_sweep_cap(self):
         status, out, err = run_command(["canonicalize", "--beta", "cbrt2", "--bits", "001011110010110110010000101001"])
         assert status == 1 and out == ""
@@ -270,6 +278,9 @@ class TestSubcommands:
                 os.environ["BETA_FORGE_PRESETS"] = old
 
 
+PLASTIC = {"minpoly": [-1, -1, 0, 1], "isolating": ["13/10", "4/3"], "pi_lower": "1/100", "bplus_upper": "3/2"}
+
+
 class TestMalformedInput:
     """Input from outside the program ends in an `error:` line and exit 1,
     never a traceback."""
@@ -298,6 +309,7 @@ class TestMalformedInput:
         status, out, err = run_command(["expand", "--beta", "3/2", "--s", "3/4", "--n", "4"])
         assert (status, out) == (1, "")
         assert err.startswith("error: BETA_FORGE_PRESETS")
+        return err
 
     def test_presets_file_missing(self, monkeypatch, tmp_path):
         self._with_presets(monkeypatch, tmp_path / "absent.json")
@@ -307,8 +319,66 @@ class TestMalformedInput:
         path.write_text(json.dumps({"plastic": {"minpoly": [-1, -1, 0, 1], "pi_lower": "1/10", "bplus_upper": "3/2"}}))
         self._with_presets(monkeypatch, path)
 
+    @pytest.mark.parametrize(
+        "presets, error",
+        [
+            ({"plastic": dict(PLASTIC, k_beta="1/2")}, "preset 'plastic': k_beta must be an integer"),
+            ({"plastic": dict(PLASTIC, k_beta=-1)}, "preset 'plastic': k_beta must be nonnegative"),
+            ({"plastic": {"bits": "0101", "lo": "3/2", "hi": "3/2", "pi_lower": "1/10", "bplus_upper": "2"}},
+             "preset 'plastic': a preset needs minpoly and isolating"),
+            ({"plastic": {k: v for k, v in PLASTIC.items() if k != "pi_lower"}},
+             "preset 'plastic': missing key 'pi_lower'"),
+            ({"plastic": dict(PLASTIC, pi_lower="0")}, "preset 'plastic': pi_lower must be positive"),
+            ({"plastic": dict(PLASTIC, bplus_upper="1/2")}, "preset 'plastic': bplus_upper must be at least 1"),
+            ({"plastic": [-1, -1, 0, 1]}, "preset 'plastic': a base object must be a JSON object"),
+            ([PLASTIC], "file {path!r} must hold a JSON object of presets"),
+        ],
+        ids=["k-beta-fraction", "k-beta-negative", "stream-entry", "no-pi-lower", "zero-pi-lower",
+             "bplus-below-one", "entry-not-an-object", "top-level-list"],
+    )
+    def test_preset_entry_errors(self, monkeypatch, tmp_path, presets, error):
+        path = tmp_path / "presets.json"
+        path.write_text(json.dumps(presets))
+        assert self._with_presets(monkeypatch, path) == "error: BETA_FORGE_PRESETS " + error.format(path=str(path))
 
-PLASTIC = {"minpoly": [-1, -1, 0, 1], "isolating": ["13/10", "4/3"], "pi_lower": "1/100", "bplus_upper": "3/2"}
+
+class TestOnePresetBuilder:
+    """Built-in and BETA_FORGE_PRESETS bases come from one builder, so a
+    built-in declared again in a presets file prints what the built-in
+    prints."""
+
+    # a sound quantizer (t, eps) per built-in, so that every pipeline call runs to the end
+    QUANTIZERS = {"golden": ("0.809016994", "0.19"), "sqrt2": ("6/5", "2/5"), "cbrt2": ("19/10", "1"),
+                  "tribonacci": ("3/5", "1/25")}
+
+    def test_builtins_declared_again_print_the_same(self, monkeypatch, tmp_path):
+        path = tmp_path / "presets.json"
+        path.write_text(json.dumps({"user-" + name: obj for name, obj in _BUILTIN.items()}))
+        monkeypatch.setenv("BETA_FORGE_PRESETS", str(path))
+        for name, (t, eps) in self.QUANTIZERS.items():
+            # each bounds call derives the stream schedule afresh (about 0.25 s), so the
+            # CLI prints two lengths; equal records below fix the bound at every length
+            argvs = [["bounds", "--n", "1"], ["bounds", "--n", "12", "--json"]]
+            argvs += [["canonicalize", "--bits", bits, "--json"] for bits in ("011", "1011", "0110110", "100111011")]
+            argvs.append(["pipeline", "--t", t, "--eps", eps, "--s", "3/4", "--n", "10", "--tosses", "seed:3",
+                          "--json"])
+            for argv in argvs:
+                builtin = run_command(argv + ["--beta", name])
+                assert builtin[0] == 0
+                assert run_command(argv + ["--beta", "user-" + name]) == builtin
+            user, preset = cli.registry()["user-" + name], bf.get_preset(name)
+            assert user.bounds == dataclasses.replace(preset.bounds, provenance="user")
+            ctx = preset.beta.ctx
+            assert (user.beta.ctx.minpoly, user.beta.ctx.isolating) == (ctx.minpoly, ctx.isolating)
+
+    def test_user_golden_overrides_the_builtin_in_the_cli(self, monkeypatch, tmp_path):
+        path = tmp_path / "presets.json"
+        path.write_text(json.dumps({"golden": dict(_BUILTIN["golden"], pi_lower="1/10", bplus_upper="2")}))
+        monkeypatch.setenv("BETA_FORGE_PRESETS", str(path))
+        status, out, err = run_command(["bounds", "--beta", "golden", "--n", "3"])
+        assert (status, err) == (0, "")
+        assert out.splitlines()[0] == 'separation="1/80"'
+        assert bf.get_preset("golden").bounds.pi_lower == Fraction(38, 100)
 
 
 class TestPresetPisotFlag:
@@ -440,6 +510,7 @@ PINNED_OUTPUTS = {
     ),
 }
 # argv -> stderr of a call that exits 1 with an empty stdout
+NEAR_TWO = "error: brackets leave no room for the schedule; hi too close to 2"
 PINNED_ERRORS = {
     "stream-base-error": (
         ["expand", "--beta", STREAM_BASE, "--s", "1/2", "--n", "4"],
@@ -449,6 +520,17 @@ PINNED_ERRORS = {
     "base-two-error": (
         ["bounds", "--beta", "2"],
         "error: bounds: base 2 has no separation bound and no converter schedule",
+    ),
+    # an upper bracket within 2^-16 of 2, where the dyadic bound on log2 reaches 1
+    "near-two-bounds": (["bounds", "--beta", "99999/50000"], NEAR_TWO),
+    "near-two-convert-stream": (
+        ["convert-stream", "--beta", "1999999/1000000", "--binary", "1011", "--chunks", "1"],
+        NEAR_TWO,
+    ),
+    "near-two-stream-base": (
+        ["convert-stream", "--beta", json.dumps({"bits": "1111111111", "lo": "3/2", "hi": "99999/50000"}),
+         "--binary", "1011", "--chunks", "1"],
+        NEAR_TWO,
     ),
 }
 
