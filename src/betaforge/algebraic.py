@@ -37,12 +37,14 @@ from .numerics import (
     beta_value,
     parse_rational,
     _json_rational,
+    _int_powers,
+    _power_budget,
     _zcoords,
     _zdiv_beta,
     _zelement,
     _zmul_beta,
 )
-from .expand import validate_bits
+from .expand import validate_bits, _cap_length
 
 __all__ = [
     "ConjugateBounds",
@@ -59,6 +61,8 @@ __all__ = [
 ]
 
 EQUIV_NODE_CAP = 1 << 21
+# digits one listing of words may hold: at least 200,000 words of up to 41 digits
+SET_GUARD = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -114,6 +118,8 @@ def _preset(name: str, obj, provenance: str) -> Preset:
     k_beta = parse_rational(str(obj.get("k_beta", 0)))
     if k_beta.denominator != 1:
         raise DomainError("k_beta must be an integer")
+    if k_beta > beta.ctx.degree - 1:  # beta itself is off the unit circle
+        raise DomainError(f"k_beta must be at most {beta.ctx.degree - 1}, the degree minus 1")
     pisot = obj.get("pisot", False)
     if not isinstance(pisot, bool):
         raise DomainError(f"pisot must be a JSON boolean, got {pisot!r}")
@@ -152,10 +158,12 @@ def separation_bound(bounds: ConjugateBounds, n: int) -> Fraction:
     """Certified positive lower bound on |value(x) - value(y)| over all
     non-equivalent pairs of length-n words:
     pi_lower / (n^k_beta * bplus_upper^n), read from the conjugate bounds
-    alone."""
+    alone.  Both powers are under the bit budget of `numerics._power_budget`."""
     if n < 1:
         raise DomainError("word length must be >= 1")
-    return bounds.pi_lower / (Fraction(n) ** bounds.k_beta * bounds.bplus_upper ** n)
+    _power_budget(bounds.k_beta, n.bit_length())
+    num, den = _int_powers(bounds.bplus_upper, n)
+    return bounds.pi_lower * Fraction(den, n**bounds.k_beta * num)
 
 
 def is_generalized_garsia(ctx: NumberFieldContext) -> bool:
@@ -239,10 +247,12 @@ def equiv_class(beta: BetaSpec, x: str) -> list[str]:
     window walk (`_walk`) over the one-point window [value(x), value(x)],
     whose scaled end is x's deficit.  More than EQUIV_NODE_CAP visited
     prefixes raise SizeGuardError, which no word of up to 20 digits reaches:
-    its prefix tree has 2^21 - 1 nodes.
+    its prefix tree has 2^21 - 1 nodes.  A word past ORBIT_CAP digits and a
+    class of more than SET_GUARD digits raise it too.
     """
     validate_bits(x)
     n = len(x)
+    _cap_length(n)
     if n == 0:
         return [""]
     sign, (deficit,), levels, _ = _weight_walk(beta, n, (x,))
@@ -260,12 +270,13 @@ def _walk(sign, levels, den: int, lo: Sequence[int], hi: Sequence[int], kind: st
     <= 0, digit 0 when e + den*window_(i+1) + hi - lo >= 0.  So each child
     costs one vector update and one certified sign.  Every visited prefix
     meets the window, so every leaf lies in it; the window must meet [0,
-    window_0].  More than EQUIV_NODE_CAP visited prefixes raise
-    SizeGuardError naming the `kind` of search."""
+    window_0].  This walk is the one guard on what a listing holds: more
+    than EQUIV_NODE_CAP visited prefixes, or leaves of more than SET_GUARD
+    digits in all, raise SizeGuardError naming the `kind` of search."""
     span = [h - l for h, l in zip(hi, lo)]
     steps = [([den * w for w in weight], [den * u + s for u, s in zip(window, span)]) for weight, window in levels]
     n = len(steps)
-    visited = 0
+    visited = listed = 0
     stack = [(0, [-h for h in hi], "")]
     while stack:
         i, e, word = stack.pop()
@@ -273,6 +284,9 @@ def _walk(sign, levels, den: int, lo: Sequence[int], hi: Sequence[int], kind: st
         if visited > EQUIV_NODE_CAP:
             raise SizeGuardError(f"{kind} search visited more than {EQUIV_NODE_CAP} prefixes")
         if i == n:
+            listed += n
+            if listed > SET_GUARD:
+                raise SizeGuardError(f"{kind} enumeration exceeded guard {SET_GUARD} digits")
             yield word, e
             continue
         weight, reach = steps[i]
@@ -290,7 +304,9 @@ def _window_walk(beta: BetaSpec, n: int, lo_w: ExactReal, hi_w: ExactReal, kind:
     integer vectors over a common denominator, and `_walk` lists the words.
     Returns (leaves, classes): `leaves` is that walk, yielding each word
     with its vector e in lexicographic order, and classes(leaves) groups
-    such leaves into value classes sorted by value (`_classes`)."""
+    such leaves into value classes sorted by value (`_classes`).  More
+    than ORBIT_CAP digits raise SizeGuardError before the walk is built."""
+    _cap_length(n)
     b = beta_value(beta)
     sign, _, levels, scale = _weight_walk(beta, n)
     degree = 1 if isinstance(b, Fraction) else b.ctx.degree

@@ -165,7 +165,8 @@ def _side(sign, lo, hi) -> int:
     return 1 if sign(hi) > 0 else 0
 
 
-# longest orbit, in digits, of every generator.  At this length, from
+# longest orbit, in digits, of every generator, and longest word of every
+# word set (`_cap_length`).  At this length, from
 # s = 3/4 on 2 vCPUs (Python 3.11), golden and tribonacci took 0.03-0.13 s
 # and 3/2 0.04-0.05 s greedy or lazy; sqrt2, whose coordinates grow without
 # bound, took 4.1 s greedy or lazy (1.7 s at 10^4 digits, 9.8 s at 2*10^4)
@@ -174,6 +175,15 @@ ORBIT_CAP = 1 << 14
 # the orbit stops filtering once a residual's filter bounds are wider than
 # 2^_FILTER_SLACK times its denominator: 2^-(FILTER_BITS - _FILTER_SLACK) in value
 _FILTER_SLACK = FILTER_BITS // 2
+
+
+def _cap_length(n: int) -> None:
+    """Refuse an orbit or a walk of n digits before any work of size n: a
+    negative n is a DomainError, more than ORBIT_CAP a SizeGuardError."""
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    if n > ORBIT_CAP:
+        raise SizeGuardError(f"{n} digits exceed the orbit cap ORBIT_CAP = {ORBIT_CAP}")
 
 
 def _orbit(b, r, n, rule, cuts=()):
@@ -199,10 +209,7 @@ def _orbit(b, r, n, rule, cuts=()):
     can no longer pay for itself and every later sign is taken exactly.
     More than ORBIT_CAP steps raise SizeGuardError before the first one.
     """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    if n > ORBIT_CAP:
-        raise SizeGuardError(f"{n} digits exceed the orbit cap ORBIT_CAP = {ORBIT_CAP}")
+    _cap_length(n)
     out = []
     if isinstance(b, Fraction):
         # r = x / den, not reduced: with b = p/q, b*r - d = (p*x - d*q*den) / (q*den)

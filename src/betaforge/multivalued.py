@@ -19,10 +19,12 @@ The exact prefix set of s is a window too: the length-n words with values in
 compute their window here and list its words with the one depth-first
 walk of `algebraic._window_walk`, in the integer frame of the level sweep;
 g_beta_window groups the walk's leaves into value classes with it, so no
-word's value is computed twice.  This module counts the listed words
-against SET_GUARD.  nu_measure counts whole subtrees in a walk of its own,
-on exact values (`_window_table`, one `exact_cmp` per bound test), and
-counts its visited prefixes against the walk's cap, EQUIV_NODE_CAP.
+word's value is computed twice.  That walk bounds, in digits, what every
+listing holds (`algebraic.SET_GUARD`); f_beta_to_2 lists consecutive
+binary words by arithmetic and checks their digits against the same
+budget.  nu_measure counts whole subtrees in a walk of its own, on exact
+values (`_window_table`, one `exact_cmp` per bound test), and counts its
+visited prefixes against the walk's cap, EQUIV_NODE_CAP.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .numerics import (
     exact_floor,
     _least_power,
 )
-from .expand import delta_finite, tail_bound, validate_bits, _check_in_domain, _delta2, _tail, _word_value
+from .expand import delta_finite, tail_bound, validate_bits, _cap_length, _check_in_domain, _delta2, _tail, _word_value
 from . import algebraic
 from .algebraic import ClassPartition, _window_walk
 
@@ -59,7 +61,6 @@ __all__ = [
     "nu_measure",
 ]
 
-SET_GUARD = 200_000
 NU_BUDGET = 30
 
 
@@ -130,8 +131,8 @@ def f_beta_to_2(beta_window: Interval, x: str, n: int) -> CandidateSet:
     k_lo = max(0, _ceil_exact((window.lo - pad) * scale))
     k_hi = min(scale - 1, exact_floor((window.hi + pad) * scale))
     count = max(0, k_hi - k_lo + 1)
-    if count > SET_GUARD:
-        raise SizeGuardError(f"candidate set of size {count} exceeds guard {SET_GUARD}")
+    if count * n > algebraic.SET_GUARD:
+        raise SizeGuardError(f"candidate set of {count} words of {n} digits exceeds guard {algebraic.SET_GUARD} digits")
     words = tuple(_bits_of(k, n) for k in range(k_lo, k_hi + 1))
     return CandidateSet(n, words, window, n)
 
@@ -148,20 +149,6 @@ def _window_table(b: ExactReal, length: int):
     return inv_pows, remaining
 
 
-def _guarded_walk(beta: BetaSpec, length: int, lo_w: ExactReal, hi_w: ExactReal, kind: str):
-    """`algebraic._window_walk` over [lo_w, hi_w], whose leaves raise
-    SizeGuardError naming the `kind` of enumeration past SET_GUARD words."""
-    leaves, classes = _window_walk(beta, length, lo_w, hi_w, kind)
-
-    def guarded():
-        for count, leaf in enumerate(leaves, 1):
-            if count > SET_GUARD:
-                raise SizeGuardError(f"{kind} enumeration exceeded guard {SET_GUARD}")
-            yield leaf
-
-    return guarded(), classes
-
-
 def f_2_to_beta(beta: BetaSpec, x: str) -> CandidateSet:
     """Base-side candidates for a binary prefix x: all words of the carried
     length whose value meets [value(x) - 2^-n, value(x) + 2^-n] widened by
@@ -175,7 +162,7 @@ def f_2_to_beta(beta: BetaSpec, x: str) -> CandidateSet:
     v = _delta2(x)
     pad = Fraction(1, 1 << n)
     window = Interval(v - pad, v + pad)
-    leaves, _ = _guarded_walk(beta, m, window.lo - pad, window.hi + pad, "window")
+    leaves, _ = _window_walk(beta, m, window.lo - pad, window.hi + pad, "window")
     return CandidateSet(m, tuple(word for word, _ in leaves), window, n)
 
 
@@ -187,10 +174,11 @@ def g_beta_window(beta: BetaSpec, x: str) -> ClassPartition:
     n = len(x)
     if n < 1:
         raise DomainError("word must be nonempty")
+    _cap_length(n)
     v = delta_finite(beta, x)
     tail = tail_bound(beta, n)
     pad = Fraction(1, 1 << n)
-    leaves, classes = _guarded_walk(beta, n, v - tail - pad, v + tail + pad, "window")
+    leaves, classes = _window_walk(beta, n, v - tail - pad, v + tail + pad, "window")
     return ClassPartition(n, classes(leaves))
 
 
@@ -219,10 +207,9 @@ def enumerate_expansions(beta: BetaSpec, s: ExactReal, n: int):
     """Exactly the length-n prefixes of expansions of s, sorted: a word u is
     one iff the residual beta^n (s - value(u)) lies in [0, 1/(beta-1)], that
     is, iff value(u) lies in the window [s - beta^-n/(beta-1), s]."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
+    _cap_length(n)
     _check_in_domain(beta_value(beta), s)
-    leaves, _ = _guarded_walk(beta, n, s - tail_bound(beta, n), s, "expansion")
+    leaves, _ = _window_walk(beta, n, s - tail_bound(beta, n), s, "expansion")
     return [word for word, _ in leaves]
 
 

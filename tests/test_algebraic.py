@@ -100,6 +100,8 @@ class TestEquiv:
     def test_length_mismatch(self, golden):
         with pytest.raises(bf.DomainError):
             bf.equiv(golden.beta, "01", "011")
+        with pytest.raises(bf.DomainError, match="^all words in a partition must share one length$"):
+            bf.partition_words(golden.beta, ["01", "011"])
 
     def test_rational_base(self):
         spec = bf.RationalBeta(Fraction(3, 2))

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -72,6 +73,10 @@ class TestPairing:
             decode_pairing("111")
         with pytest.raises(bf.DomainError):
             encode_pairing([])
+        with pytest.raises(bf.DomainError, match="^items must be bitstrings, got '012'$"):
+            encode_pairing(["01", "012"])
+        with pytest.raises(bf.MalformedEncodingError, match="^encoding must be a bitstring$"):
+            decode_pairing("10a1")
 
     def test_negative_item_length(self):
         # no (2^k - 1) L + 2^(k-1) - 1 reaches the code length for L < 0
@@ -252,6 +257,21 @@ class TestSubcommands:
         a = parse_tosses("seed:42")
         b = parse_tosses("seed:42")
         assert [a.next_bit() for _ in range(32)] == [b.next_bit() for _ in range(32)]
+
+    @pytest.mark.parametrize(
+        "text, bits",
+        [
+            ("ones", "1" * 24),
+            ("zeros", "0" * 24),
+            ("alternating", "10" * 12),
+            # xorshift has no zero state: seed 0 starts from 0x9E3779B97F4A7C15
+            ("seed:0", "001011101101010000101110"),
+            ("seed:0x9E3779B97F4A7C15", "001011101101010000101110"),
+        ],
+    )
+    def test_named_toss_streams(self, text, bits):
+        stream = parse_tosses(text)
+        assert "".join(str(stream.next_bit()) for _ in bits) == bits
 
     def test_env_presets(self, tmp_path):
         presets = {
@@ -517,6 +537,10 @@ PINNED_ERRORS = {
         "error: base given as a bit stream has no exact value; use the stream converter",
     ),
     "domain-error": (["expand", "--beta", "3/2", "--s", "9/2", "--n", "4"], "error: value outside [0, 1/(beta-1)]"),
+    "value-not-bitstring": (["enumerate", "--beta", "golden", "--s", "bits:012", "--n", "3"],
+                            "error: not a bitstring: '012'"),
+    "convert-non-rational": (["convert", "--beta", "golden", "--binary", "0101", "--chunks", "1"],
+                             "error: convert needs a rational base; use convert-stream otherwise"),
     "base-two-error": (
         ["bounds", "--beta", "2"],
         "error: bounds: base 2 has no separation bound and no converter schedule",
@@ -550,11 +574,24 @@ def test_pinned_error(name):
     assert run_command(argv) == (1, "", stderr)
 
 
+CHILD_MEMORY = 512 << 20
+
+
+def _limit_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+
 def _python_dash_m(argv):
+    """`python -m betaforge argv` in a child limited to CHILD_MEMORY bytes
+    of address space where the platform can set one, so a call that
+    outgrows it fails its test instead of exhausting the machine."""
     src = os.path.dirname(os.path.dirname(bf.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "betaforge", *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-m", "betaforge", *argv], capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_limit_memory if os.name == "posix" else None,
     )
 
 
@@ -581,16 +618,40 @@ def test_python_dash_m_entry_point():
         # the stream converter's sigma(26) on golden (N = 27) under the same budget
         (["convert-stream", "--beta", "golden", "--binary", "0101", "--chunks", "26"],
          "error: a^702 would exceed the 1000000-bit budget\n"),
+        # a listing of words past its digit guard, and a walk past the orbit cap
+        (["enumerate", "--beta", "golden", "--s", "1/2", "--n", "10000"],
+         "error: expansion enumeration exceeded guard 8388608 digits\n"),
+        (["enumerate", "--beta", "golden", "--s", "1/2", "--n", "1000000"],
+         "error: 1000000 digits exceed the orbit cap ORBIT_CAP = 16384\n"),
+        (["classes", "--beta", "golden", "--bits", format(random.Random(8000).getrandbits(8000), "08000b")],
+         "error: window enumeration exceeded guard 8388608 digits\n"),
+        (["classes", "--beta", "golden", "--bits", format(random.Random(20000).getrandbits(20000), "020000b")],
+         "error: 20000 digits exceed the orbit cap ORBIT_CAP = 16384\n"),
+        # the separation bound's bplus_upper^n under the bit budget
+        (["bounds", "--beta", "golden", "--n", "3000000"], "error: a^3000000 would exceed the 1000000-bit budget\n"),
+        # a user preset claiming more conjugates on the unit circle than it has
+        (["bounds", "--beta", "big", "--n", "12"],
+         "error: BETA_FORGE_PRESETS preset 'big': k_beta must be at most 1, the degree minus 1\n"),
     ],
 )
-def test_oversized_inputs_end_in_one_error_line(argv, stderr):
+def test_oversized_inputs_end_in_one_error_line(argv, stderr, monkeypatch, tmp_path):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if argv[0] == "bounds" and not limit:
+    if "{limit}" in stderr and not limit:
         pytest.skip("this interpreter prints integers of any length")
+    if argv[2] == "big":
+        path = tmp_path / "presets.json"
+        path.write_text(json.dumps({"big": dict(_BUILTIN["golden"], k_beta=10**9)}))
+        monkeypatch.setenv("BETA_FORGE_PRESETS", str(path))
     t0 = time.perf_counter()
     done = _python_dash_m(argv)
     assert time.perf_counter() - t0 < 5
     assert (done.returncode, done.stdout, done.stderr) == (1, "", stderr.format(limit=limit))
+
+
+def test_long_listing_of_one_word_answers():
+    # the digit guard admits 2^23 / 12000 words here, and 0 has one expansion
+    done = _python_dash_m(["enumerate", "--beta", "golden", "--s", "0", "--n", "12000"])
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0" * 12000 + "\n", "")
 
 
 def test_huge_exponent_ends_in_one_error_line():

@@ -43,6 +43,12 @@ class TestRationalParams:
     def test_rejects_two(self):
         with pytest.raises(bf.DomainError):
             bf.params_rational(bf.RationalBeta(Fraction(2)))
+        with pytest.raises(bf.DomainError, match=r"^stream view needs beta strictly inside \(1, 2\)$"):
+            bf.stream_from_exact(bf.RationalBeta(Fraction(2)))
+
+    def test_schedule_index_nonnegative(self):
+        with pytest.raises(bf.DomainError, match="^schedule index must be nonnegative$"):
+            bf.params_rational(bf.RationalBeta(Fraction(3, 2))).sigma(-1)
 
     def test_takes_only_a_rational_base(self, golden):
         for beta in (Fraction(3, 2), golden.beta):
@@ -271,6 +277,11 @@ class TestStreamParams:
 
 
 class TestConvertStream:
+    def test_negative_chunk_count(self):
+        stream = bf.stream_from_exact(bf.RationalBeta(Fraction(3, 2)))
+        with pytest.raises(bf.DomainError, match="^chunk count must be nonnegative$"):
+            bf.convert_stream(stream, "0101", -1)
+
     def test_constant_stream_three_halves(self):
         stream = bf.stream_from_exact(B32)
         prefix = greedy_oracle(Fraction(2), Fraction(3, 4), 150)

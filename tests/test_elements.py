@@ -177,6 +177,17 @@ def test_enclosure_matches_fraction_oracle(name):
         assert got[0] - width <= Fraction(float(a)) <= got[1] + width
 
 
+def test_misused_elements_are_typed_errors():
+    golden, sqrt2 = context("golden"), context("sqrt2")
+    with pytest.raises(bf.MalformedContextError, match="^expected 2 coefficients, got 1$"):
+        NumberFieldElement(golden, [Fraction(1)])
+    x = NumberFieldElement.generator(golden)
+    with pytest.raises(AttributeError, match="^NumberFieldElement is immutable$"):
+        x.den = 2
+    with pytest.raises(bf.DomainError, match="^cannot mix elements of different number fields$"):
+        x + NumberFieldElement.generator(sqrt2)
+
+
 def test_enclosure_width_must_be_positive():
     """A width of 0 or below is a DomainError at once, except width 0 on a
     rational element, whose enclosure is its exact value."""

@@ -325,6 +325,10 @@ class TestOrbitCap:
 
 
 class TestLanding:
+    def test_base_two_has_no_threshold(self):
+        with pytest.raises(bf.DomainError, match="^landing threshold requires beta strictly below 2$"):
+            bf.landing_threshold(bf.RationalBeta(Fraction(2)), Fraction(1, 2))
+
     def test_already_inside(self):
         info = bf.landing_threshold(B32, Fraction(0))
         assert info.least_landing == 0
@@ -424,3 +428,8 @@ class TestBitStream:
     def test_validation(self):
         with pytest.raises(bf.DomainError):
             bf.BitStream.from_bits("10a1")
+        with pytest.raises(bf.DomainError, match="^toss stream produced non-bit value 2$"):
+            bf.BitStream(lambda: iter([2])).next_bit()
+        for in_switch, toss in ((True, None), (False, 1)):
+            with pytest.raises(bf.DomainError, match="^toss_consumed must be present exactly when in_switch$"):
+                bf.TraceStep(0, Fraction(0), 0, in_switch, toss)

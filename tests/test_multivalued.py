@@ -61,6 +61,8 @@ class TestBaseLength:
             with pytest.raises(bf.DomainError, match="least power needs a base above 1"):
                 bf.base_length(b, n)
             assert time.perf_counter() - t0 < 1
+        with pytest.raises(bf.DomainError, match="^n must be nonnegative$"):
+            bf.base_length(Fraction(3, 2), -1)
 
 
 class TestFBetaTo2:
@@ -79,6 +81,19 @@ class TestFBetaTo2:
         with pytest.raises(bf.WrongLengthError) as ei:
             bf.f_beta_to_2(degenerate(Fraction(3, 2)), "10", 2)
         assert ei.value.required == 4
+
+    def test_precision_and_window_checked(self):
+        with pytest.raises(bf.DomainError, match="^n must be >= 1$"):
+            bf.f_beta_to_2(degenerate(Fraction(3, 2)), "10", 0)
+        for window in (degenerate(Fraction(1)), bf.Interval(Fraction(3, 2), Fraction(2))):
+            with pytest.raises(bf.DomainError, match=r"^base window must lie inside \(1, 2\)$"):
+                bf.f_beta_to_2(window, "10", 2)
+
+    def test_empty_words_rejected(self, golden):
+        with pytest.raises(bf.DomainError, match="^binary prefix must be nonempty$"):
+            bf.f_2_to_beta(golden.beta, "")
+        with pytest.raises(bf.DomainError, match="^word must be nonempty$"):
+            bf.g_beta_window(golden.beta, "")
 
     def test_cardinality_bound_degenerate(self, rng):
         # 1/(beta-1) + 3 = 5 at beta = 3/2
@@ -409,19 +424,25 @@ def test_window_walk_matches_the_exact_walk(name, data):
 
 class TestSetGuard:
     def test_guard_messages(self, golden, monkeypatch):
-        monkeypatch.setattr(bf.multivalued, "SET_GUARD", 3)
-        with pytest.raises(bf.SizeGuardError, match="^expansion enumeration exceeded guard 3$"):
+        # the guard counts listed digits, so every listing of 200,000 words
+        # of up to 41 digits fits it
+        assert bf.algebraic.SET_GUARD >= 200_000 * 41
+        monkeypatch.setattr(bf.algebraic, "SET_GUARD", 6)
+        with pytest.raises(bf.SizeGuardError, match="^expansion enumeration exceeded guard 6 digits$"):
             bf.enumerate_expansions(golden.beta, Fraction(1), 4)
         for call in (bf.g_beta_window, bf.f_1_to_all):
-            with pytest.raises(bf.SizeGuardError, match="^window enumeration exceeded guard 3$"):
+            with pytest.raises(bf.SizeGuardError, match="^window enumeration exceeded guard 6 digits$"):
                 call(golden.beta, "1100")
-        with pytest.raises(bf.SizeGuardError, match="^window enumeration exceeded guard 3$"):
+        with pytest.raises(bf.SizeGuardError, match="^window enumeration exceeded guard 6 digits$"):
             bf.f_2_to_beta(golden.beta, "1010")
-        with pytest.raises(bf.SizeGuardError, match="^candidate set of size 4 exceeds guard 3$"):
+        with pytest.raises(bf.SizeGuardError, match="^equivalence class enumeration exceeded guard 6 digits$"):
+            bf.equiv_class(golden.beta, "1000")
+        with pytest.raises(bf.SizeGuardError, match="^candidate set of 4 words of 2 digits exceeds guard 6 digits$"):
             bf.f_beta_to_2(degenerate(Fraction(11, 10)), "0" * 15, 2)
-        # at the guard itself nothing is raised
+        # at the guard itself nothing is raised: three words of two digits
         assert bf.enumerate_expansions(golden.beta, Fraction(1), 2) == ["01", "10", "11"]
         assert len(bf.g_beta_window(golden.beta, "11").classes) == 3
+        assert bf.equiv_class(golden.beta, "100") == ["011", "100"]
         assert bf.f_beta_to_2(degenerate(Fraction(3, 2)), "1000", 2).words == ("01", "10", "11")
 
 
@@ -482,6 +503,8 @@ class TestNuMeasure:
     def test_budget(self, golden):
         with pytest.raises(bf.BudgetExceededError):
             bf.nu_measure(golden.beta, 31, bf.Interval(Fraction(0), Fraction(1)))
+        with pytest.raises(bf.DomainError, match="^m must be nonnegative$"):
+            bf.nu_measure(golden.beta, -1, bf.Interval(Fraction(0), Fraction(1)))
 
     def test_node_cap_counts_visited_prefixes(self, golden, monkeypatch):
         # m = 12 on [1/2, 1] visits 183 prefixes of golden: one over the cap

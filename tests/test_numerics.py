@@ -120,6 +120,8 @@ class TestNumberFieldSign:
             NumberFieldContext([5], (Fraction(3, 2), Fraction(5, 3)))  # constant poly
         with pytest.raises(bf.MalformedContextError):
             NumberFieldContext([1, 1, -1], (Fraction(3, 2), Fraction(5, 3)))  # negative leading
+        with pytest.raises(bf.MalformedContextError, match=r"^isolating interval must lie within \(1, 2\)$"):
+            NumberFieldContext([-1, -1, 1], (Fraction(3, 2), Fraction(2)))
 
 
 class TestInApprox:
@@ -252,6 +254,10 @@ class TestExactLog2:
         assert bf.exact_log2_bounds(Fraction(3, 2), 250_000)[0] == 146_241
         with pytest.raises(bf.BudgetExceededError, match=r"^a\^250001 would exceed the 1000000-bit budget$"):
             bf.exact_log2_bounds(Fraction(3, 2), 250_001)
+        with pytest.raises(bf.DomainError, match="^k must be nonnegative$"):
+            bf.exact_log2_bounds(Fraction(3, 2), -1)
+        with pytest.raises(bf.DomainError, match="^a must be positive$"):
+            bf.exact_log2_bounds(Fraction(0), 1)
 
 
 class TestFloorsAndParsing:
@@ -294,11 +300,15 @@ class TestFloorsAndParsing:
         assert isinstance(spec2, bf.StreamBeta)
         with pytest.raises(bf.DomainError):
             bf.beta_from_json({"bits": "102", "lo": "3/2", "hi": "3/2"})
+        with pytest.raises(bf.DomainError, match="^unrecognized base object; expected minpoly/isolating or bits/lo/hi$"):
+            bf.beta_from_json({"lo": "3/2", "hi": "3/2"})
 
     def test_stream_beta_has_no_exact_value(self):
         spec = bf.beta_from_json({"bits": "1000", "lo": "3/2", "hi": "3/2"})
         with pytest.raises(bf.ExactnessRequiredError):
             bf.beta_value(spec)
+        with pytest.raises(bf.DomainError, match=r"^not a base specification: Fraction\(3, 2\)$"):
+            bf.beta_value(Fraction(3, 2))
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str limit")
     def test_format_rational_too_long_to_print(self):

@@ -33,6 +33,10 @@ class TestValidateQuantizer:
     def test_three_halves_band(self):
         assert bf.validate_quantizer(B32, bf.Quantizer(Fraction(1), Fraction(1, 4))).valid
 
+    def test_negative_band_rejected(self):
+        with pytest.raises(bf.DomainError, match="^quantizer uncertainty must be nonnegative$"):
+            bf.Quantizer(Fraction(1), Fraction(-1, 4))
+
     def test_reason_pinpoints_endpoint(self):
         low = bf.validate_quantizer(B32, bf.Quantizer(Fraction(2, 3), Fraction(1, 10)))
         assert not low.valid and "lower" in low.reason
