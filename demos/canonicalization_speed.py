@@ -1,4 +1,8 @@
-"""Canonical forms: the exhaustive oracle versus the linear-time level sweep.
+"""Canonical forms: the exhaustive oracle versus the level sweep.
+
+The sweep takes a linear number of steps, but each step works on integers of
+O(n) bits, so its cost per digit grows with n: on random golden words, 17.8
+µs/digit at 10^3 digits and 87.4 µs/digit at 5*10^4.
 
 Run:  python demos/canonicalization_speed.py
 """

@@ -1,10 +1,11 @@
 """betaforge: exact-arithmetic toolkit for beta-expansions with beta in (1, 2).
 
 Generation of greedy/lazy/randomized expansions, complexity-preserving
-binary-to-beta conversion for rational and stream-specified bases, linear-time
-canonicalization over Pisot bases, exact enumeration of expansion prefix sets,
-coin-toss extraction, and simulation of robust conversion hardware built on
-imperfect comparators.
+binary-to-beta conversion for rational and stream-specified bases,
+canonicalization over Pisot bases in a linear number of steps (each on
+integers of O(n) bits, so the cost per digit grows with n), exact
+enumeration of expansion prefix sets, coin-toss extraction, and simulation
+of robust conversion hardware built on imperfect comparators.
 """
 
 from .numerics import (

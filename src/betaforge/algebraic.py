@@ -253,8 +253,6 @@ def equiv_class(beta: BetaSpec, x: str) -> list[str]:
     validate_bits(x)
     n = len(x)
     _cap_length(n)
-    if n == 0:
-        return [""]
     sign, (deficit,), levels, _ = _weight_walk(beta, n, (x,))
     return [word for word, _ in _walk(sign, levels, 1, deficit, deficit, "equivalence class")]
 

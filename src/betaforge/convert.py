@@ -276,8 +276,11 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
     ratio and a correction term accounts for re-reading the emitted word
     against the newer approximant.  Every step verifies its containment and
     rate certificates; a failure raises InvariantViolation with full state.
-    The carry cap 1 + 3C = hi/(2(hi-1)) lies below 1/(b-1) for every
-    approximant b <= hi, so each chunk steps the greedy orbit directly.
+    Those checks hold the carried sum in [0, 1 + 3C]: the residual is 0 at
+    step 0 and at most 1 + C after it, the injection at most 1 at step 0 and
+    C after it, the correction at most C.  The carry cap 1 + 3C =
+    hi/(2(hi-1)) lies below 1/(b-1) for every approximant b <= hi, so each
+    chunk steps the greedy orbit directly.
     """
     params = params_stream(beta)
     n_chunk, big_l, c_low = params.N, params.L, params.C_lower
@@ -318,7 +321,6 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
     emitted_value = Fraction(0)  # value of `emitted` against the current approximant
     residual = Fraction(0)
     diags = []
-    total_cap = 1 + 3 * c_low
     for i in range(n):
         b_cur = approximants[i]
         b_next = approximants[i + 1]
@@ -345,8 +347,6 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
         if i >= 1 and not (0 <= residual <= 1 + c_low):
             fail("carried residual outside [0, 1 + C]")
         total = residual + injected + correction
-        if not (0 <= total <= total_cap):
-            fail("carried sum outside [0, 1 + 3C]")
         if i >= 1:
             gap = min(beta.hi - approximants[i], Fraction(1, 1 << params.lam(i)))
             rate_cap = min(Fraction(1), c_low) / (_E_UPPER * beta.hi ** (n_chunk * i) * n_chunk**2 * i**2)

@@ -31,7 +31,6 @@ from .numerics import (
     BetaSpec,
     DomainError,
     ExactReal,
-    FILTER_BITS,
     SizeGuardError,
     beta_value,
     exact_cmp,
@@ -166,15 +165,13 @@ def _side(sign, lo, hi) -> int:
 
 
 # longest orbit, in digits, of every generator, and longest word of every
-# word set (`_cap_length`).  At this length, from
-# s = 3/4 on 2 vCPUs (Python 3.11), golden and tribonacci took 0.03-0.13 s
-# and 3/2 0.04-0.05 s greedy or lazy; sqrt2, whose coordinates grow without
-# bound, took 4.1 s greedy or lazy (1.7 s at 10^4 digits, 9.8 s at 2*10^4)
+# word set (`_cap_length`).  At this length, from s = 3/4 on 2 vCPUs
+# (Python 3.11.7, one call per process), golden, tribonacci and 3/2 took
+# 0.03-0.13 s greedy, lazy or in `adc_run`.  The non-Pisot bases, whose
+# coordinates grow without bound, are the slowest: cbrt2 took 4.9-6.0 s
+# greedy or lazy and sqrt2 3.3-4.8 s, and `adc_run`, with four cuts to
+# compare, 15-19 s and 12-14 s
 ORBIT_CAP = 1 << 14
-
-# the orbit stops filtering once a residual's filter bounds are wider than
-# 2^_FILTER_SLACK times its denominator: 2^-(FILTER_BITS - _FILTER_SLACK) in value
-_FILTER_SLACK = FILTER_BITS // 2
 
 
 def _cap_length(n: int) -> None:
@@ -201,13 +198,10 @@ def _orbit(b, r, n, rule, cuts=()):
     step integer coordinates over one shared denominator, and likewise build
     the exact residual only when asked for; their comparisons go through the
     integer interval filter (`NumberFieldContext.filter_bounds`): the cuts
-    are bounded once per call, the residual once per step at its first
-    comparison, and the certified evaluator runs only when the two intervals
-    overlap, on a near-tie or an exact one.  On a base whose conjugates are not all inside the unit disk
-    the coordinates grow without bound; once a near-tie finds the residual's
-    bounds wider than 2^-(FILTER_BITS - _FILTER_SLACK) in value, the filter
-    can no longer pay for itself and every later sign is taken exactly.
-    More than ORBIT_CAP steps raise SizeGuardError before the first one.
+    are bounded once per call and the residual once per step, and the
+    certified evaluator runs only when the two intervals overlap, on a
+    near-tie or an exact one.  More than ORBIT_CAP steps raise
+    SizeGuardError before the first one.
     """
     _cap_length(n)
     out = []
@@ -241,29 +235,20 @@ def _orbit(b, r, n, rule, cuts=()):
     bounds = ctx.filter_bounds
     den, (v, *cut_v) = _zcoords(ctx.degree, (r,) + tuple(cuts))
     cut_box = [bounds(c) for c in cut_v]
-    box = None  # the residual's filter bounds, built at a step's first comparison
 
-    def exact(k):
-        return sgn([x - y for x, y in zip(v, cut_v[k])])
-
-    def filtered(k):
-        nonlocal box, sign
-        if box is None:
-            box = bounds(v)
+    def sign(k):
         lo, hi = cut_box[k]
         if box[0] > hi:
             return 1
         if box[1] < lo:
             return -1
-        if box[1] - box[0] > den << _FILTER_SLACK:
-            sign = exact  # the coordinates have outgrown the filter
-        return exact(k)
+        return sgn([x - y for x, y in zip(v, cut_v[k])])
 
     def residual():
         return r if r is not None else _zelement(ctx, den, v)
 
-    sign = filtered
     for i in range(n):
+        box = bounds(v)  # the residual's filter bounds
         d, origin = rule(i, sign, residual)
         if origin is not None:
             v = cut_v[origin]
@@ -275,7 +260,7 @@ def _orbit(b, r, n, rule, cuts=()):
             cut_box = [(a * lo, a * hi) for lo, hi in cut_box]
         if d:
             v[0] -= den
-        r = box = None  # the residual now lives in v / den only
+        r = None  # the residual now lives in v / den only
     return "".join(out), residual()
 
 

@@ -175,6 +175,13 @@ class TestEquivClass:
             assert bf.equiv_class(beta, x) == expect
             assert bf.m_beta_bruteforce(beta, x) == expect[-1]
 
+    @pytest.mark.parametrize("name", ["golden", "tribonacci", "sqrt2", "3/2"])
+    def test_empty_word(self, name):
+        # the walk over zero digits visits one prefix, the empty word, and lists it
+        beta = base(name)[0]
+        assert bf.equiv_class(beta, "") == [""]
+        assert bf.m_beta_bruteforce(beta, "") == ""
+
 
 class TestSharedWalk:
     # the first four have no equal-value words of equal length; golden and

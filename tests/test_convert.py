@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from fractions import Fraction
 
@@ -389,6 +390,76 @@ class TestConvertStream:
         chunk = res.bits[: params.N]
         assert chunk == bf.greedy_expand(bf.RationalBeta(a[1]), Fraction(5, 8), params.N)
         assert chunk[0] == str(1 - step)
+
+
+def patch_params(monkeypatch, name, **change):
+    """Make bf.convert.<name> return its schedule with each field in
+    `change` replaced by that function of its unpatched value."""
+    real = getattr(bf.convert, name)
+
+    def patched(beta):
+        p = real(beta)
+        return dataclasses.replace(p, **{k: f(getattr(p, k)) for k, f in change.items()})
+
+    monkeypatch.setattr(bf.convert, name, patched)
+
+
+def patch_chunks(monkeypatch, change):
+    """Make every converter chunk return change(chunk, residual) in place of
+    the orbit's (chunk, residual)."""
+    real = bf.convert._orbit
+    monkeypatch.setattr(bf.convert, "_orbit", lambda *args: change(*real(*args)))
+
+
+class TestInvariantViolations:
+    """Every certificate check of the two converters, each reached by
+    breaking one schedule parameter or one step."""
+
+    def test_rational_carried_sum(self, monkeypatch):
+        # sigma(i) = i reads too few bits, so the injections outgrow the cap
+        patch_params(monkeypatch, "params_rational", sigma_offset=lambda _: -100)
+        with pytest.raises(bf.InvariantViolation, match=(
+            r"^step 5: carried sum 103575/65536 outside \[0, 3/2\]; "
+            r"residual=22263/32768 injected=59049/65536 beta=3/2$"
+        )):
+            bf.convert_rational(B32, "1" * 40, 30)
+
+    def test_rational_residual(self, monkeypatch):
+        patch_chunks(monkeypatch, lambda chunk, r: (chunk, r + 2))
+        with pytest.raises(bf.InvariantViolation, match=r"^step 0: residual 79/32 left \[0, 1\]$"):
+            bf.convert_rational(B32, "1" * 40, 3)
+
+    def test_stream_schedule_monotonicity(self, monkeypatch, golden):
+        patch_params(monkeypatch, "params_stream", floor_log2_C=lambda c: c + 1000)
+        with pytest.raises(bf.InvariantViolation, match=r"^binary read schedule not strictly increasing: \[0, -977, -958\]$"):
+            bf.convert_stream(bf.stream_from_exact(golden.beta), "1" * 600, 2)
+
+    @pytest.mark.parametrize("check, step, breaks", [
+        # sigma(i) one bit short for i >= 1
+        ("injected increment outside its cap", 1,
+         lambda mp: patch_params(mp, "params_stream", floor_log2_C=lambda c: c + 1)),
+        # every word value, the reread of the emitted word included, 1 too low
+        (r"correction outside \[0, C\]", 0,
+         lambda mp: mp.setattr(bf.convert, "_word_value", lambda b, bits, real=bf.convert._word_value: real(b, bits) - 1)),
+        (r"carried residual outside \[0, 1 \+ C\]", 1,
+         lambda mp: patch_chunks(mp, lambda chunk, r: (chunk, r + 2))),
+        # too few base digits read up front
+        ("approximant not tightening fast enough", 1,
+         lambda mp: patch_params(mp, "params_stream", L=lambda _: 1)),
+        # no room for any refinement of the approximant
+        (r"approximant ratio outside \[1, 1 \+ C\]", 0,
+         lambda mp: patch_params(mp, "params_stream", C_lower=lambda _: Fraction(0))),
+        ("emitted word drifted from the binary prefix", 0,
+         lambda mp: patch_chunks(mp, lambda chunk, r: ("0" * len(chunk), r))),
+    ], ids=["injected", "correction", "residual", "rate", "ratio", "drift"])
+    def test_stream_step_checks(self, check, step, breaks, monkeypatch, golden):
+        breaks(monkeypatch)
+        # the state dump of `fail` follows the check's name
+        with pytest.raises(bf.InvariantViolation, match=(
+            rf"^{check}; step {step}: residual~\S+ injected~\S+ correction~\S+ "
+            r"approximants=\[[0-9., ]+\] sigmas=\[0, \d+, \d+\]$"
+        )):
+            bf.convert_stream(bf.stream_from_exact(golden.beta), "1" * 600, 2)
 
 
 def test_algebraic_brackets_ignore_process_history(golden, tribonacci):
