@@ -30,7 +30,6 @@ from .numerics import (
     BetaSpec,
     DomainError,
     ExactReal,
-    MalformedContextError,
     NumberFieldContext,
     SizeGuardError,
     beta_from_json,
@@ -63,6 +62,7 @@ __all__ = [
 EQUIV_NODE_CAP = 1 << 21
 # digits one listing of words may hold: at least 200,000 words of up to 41 digits
 SET_GUARD = 1 << 23
+WALK_TABLE_BITS = 1 << 31  # bits of one walk's weight and reach vectors: 256 MiB
 
 
 @dataclass(frozen=True)
@@ -196,8 +196,6 @@ def _weight_walk(beta: BetaSpec, n: int, words: Sequence[str] = ()):
     else:
         poly = b.ctx.minpoly
         sign = b.ctx.sign_of_coeffs
-        if poly[0] == 0:  # the walk divides by beta
-            raise MalformedContextError("minimal polynomial has the root 0, so it is reducible")
     a = poly[-1]
     # one ascending pass: weight runs through a^(n-1) beta^k for k < n, the
     # window sums all of them, and each deficit the weights under its ones
@@ -268,11 +266,17 @@ def _walk(sign, levels, den: int, lo: Sequence[int], hi: Sequence[int], kind: st
     <= 0, digit 0 when e + den*window_(i+1) + hi - lo >= 0.  So each child
     costs one vector update and one certified sign.  Every visited prefix
     meets the window, so every leaf lies in it; the window must meet [0,
-    window_0].  This walk is the one guard on what a listing holds: more
-    than EQUIV_NODE_CAP visited prefixes, or leaves of more than SET_GUARD
+    window_0].  This walk is the one guard on what a listing holds: a step
+    table past WALK_TABLE_BITS bits, counted as it is built, more than
+    EQUIV_NODE_CAP visited prefixes, or leaves of more than SET_GUARD
     digits in all, raise SizeGuardError naming the `kind` of search."""
     span = [h - l for h, l in zip(hi, lo)]
-    steps = [([den * w for w in weight], [den * u + s for u, s in zip(window, span)]) for weight, window in levels]
+    steps, bits = [], 0
+    for weight, window in levels:
+        steps.append(([den * w for w in weight], [den * u + s for u, s in zip(window, span)]))
+        bits += sum(x.bit_length() for v in steps[-1] for x in v)
+        if bits > WALK_TABLE_BITS:
+            raise SizeGuardError(f"{kind} walk table exceeded {WALK_TABLE_BITS} bits")
     n = len(steps)
     visited = listed = 0
     stack = [(0, [-h for h in hi], "")]

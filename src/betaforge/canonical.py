@@ -34,7 +34,6 @@ __all__ = [
     "canonicalize_prefixwise",
 ]
 
-BRUTEFORCE_GUARD = 20
 # classes one sweep level may hold; only a non-Pisot base gets near it
 SWEEP_CLASS_CAP = 1 << 16
 
@@ -55,11 +54,7 @@ class FastRunStats:
 
 
 def m_beta_bruteforce(beta: BetaSpec, x: str) -> str:
-    """Lexicographically maximal member of the value class of x, by
-    exhaustive class enumeration; guarded to short inputs."""
-    validate_bits(x)
-    if len(x) > BRUTEFORCE_GUARD:
-        raise SizeGuardError(f"bruteforce canonicalization capped at length {BRUTEFORCE_GUARD}")
+    """The lexicographically maximal member of `equiv_class(beta, x)`."""
     return max(equiv_class(beta, x))
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .numerics import (
     AlgebraicBeta,
@@ -191,7 +192,10 @@ class StreamConvParams:
 def _dyadic_log2_upper(a: Fraction) -> Fraction:
     """Dyadic upper bound on log2(a) for a in (1, 2), within 2^-p for
     p = LOG2_PRECISION_BITS: the least k/2^p with a^(2^p) <= 2^k.  No power
-    of a rational in (1, 2) is a power of 2, so the bound is strict."""
+    of a rational in (1, 2) is a power of 2, so the bound is strict.  Past
+    128 bits in all, a is first rounded up to a multiple of 2^-64."""
+    if a.numerator.bit_length() + a.denominator.bit_length() > 128:
+        a = Fraction(-((-a.numerator << 64) // a.denominator), 1 << 64)
     scale = 1 << LOG2_PRECISION_BITS
     return Fraction(_ceil_log2_ratio(a.numerator**scale, a.denominator**scale), scale)
 
@@ -274,8 +278,10 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
     Chunk i is emitted greedily against the dyadic approximant built from
     lam(i+1) base digits; the carried residual is rescaled by the approximant
     ratio and a correction term accounts for re-reading the emitted word
-    against the newer approximant.  Every step verifies its containment and
-    rate certificates; a failure raises InvariantViolation with full state.
+    against the newer approximant.  A base digit other than 0 or 1 (bools
+    count as digits) is a DomainError naming its index.  Every step
+    verifies its containment and rate certificates; a failure raises
+    InvariantViolation with full state.
     Those checks hold the carried sum in [0, 1 + 3C]: the residual is 0 at
     step 0 and at most 1 + C after it, the injection at most 1 at step 0 and
     C after it, the correction at most C.  The carry cap 1 + 3C =
@@ -289,14 +295,14 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
         raise DomainError("chunk count must be nonnegative")
 
     need_beta_bits = params.lam(n + 1)
-    src = beta.bit_factory()
-    beta_bits = []
-    for _ in range(need_beta_bits):
-        try:
-            beta_bits.append("1" if next(src) else "0")
-        except StopIteration:
-            raise InsufficientBitsError("beta", need_beta_bits) from None
-    approximants = [1 + _delta2("".join(beta_bits[: params.lam(j)])) for j in range(n + 2)]
+    digits = list(islice(beta.bit_factory(), need_beta_bits))
+    if len(digits) < need_beta_bits:
+        raise InsufficientBitsError("beta", need_beta_bits)
+    for k, digit in enumerate(digits):
+        if digit not in (0, 1):
+            raise DomainError(f"stream digit {k} is {digit!r}, not 0 or 1")
+    beta_bits = "".join("1" if digit else "0" for digit in digits)
+    approximants = [1 + _delta2(beta_bits[: params.lam(j)]) for j in range(n + 2)]
     for j, (a, b2) in enumerate(zip(approximants, approximants[1:])):
         if not (1 < a <= b2 <= beta.hi):
             raise InvariantViolation(f"approximants not nondecreasing within brackets: {a} then {b2}")

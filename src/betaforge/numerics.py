@@ -150,9 +150,10 @@ class NumberFieldContext:
     rational interval containing exactly one real root in (1, 2).
 
     The constructor trims trailing zero coefficients and rejects a degree
-    below 1, a leading coefficient that is not positive, and an interval
-    over which the polynomial does not change sign.  Irreducibility is not
-    proved up front: a reducible polynomial surfaces as
+    below 2 (a rational base is a RationalBeta), a leading coefficient that
+    is not positive, a zero constant term, and an interval with a root at an
+    end or over which the polynomial does not change sign.  Irreducibility
+    is not otherwise proved up front: a reducible polynomial surfaces as
     MalformedContextError at the first sign (`sign_of_coeffs`) or inverse
     that it fails.
 
@@ -169,10 +170,12 @@ class NumberFieldContext:
         coeffs = tuple(int(c) for c in minpoly)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        if len(coeffs) < 2:
-            raise MalformedContextError("minimal polynomial must have degree >= 1")
+        if len(coeffs) < 3:
+            raise MalformedContextError("minimal polynomial must have degree >= 2; give a rational base as p/q")
         if coeffs[-1] <= 0:
             raise MalformedContextError("leading coefficient must be positive")
+        if coeffs[0] == 0:  # the shift map and the walks divide by the root
+            raise MalformedContextError("minimal polynomial has the root 0, so it is reducible")
         lo, hi = Fraction(isolating[0]), Fraction(isolating[1])
         if not (1 < lo <= hi < 2):
             raise MalformedContextError("isolating interval must lie within (1, 2)")
@@ -181,10 +184,8 @@ class NumberFieldContext:
         slo = self._poly_sign(lo.numerator, lo.denominator)
         shi = self._poly_sign(hi.numerator, hi.denominator)
         if slo == 0 or shi == 0:
-            # endpoint happens to be the root only when the root is rational
-            if self.degree != 1:
-                raise MalformedContextError("isolating endpoint is a root")
-        elif slo == shi:
+            raise MalformedContextError("isolating endpoint is a root")
+        if slo == shi:
             raise MalformedContextError("minimal polynomial does not change sign over the isolating interval")
         self.isolating = (lo, hi)
         self._powers = {}
@@ -217,15 +218,10 @@ class NumberFieldContext:
         den = lo.denominator * hi.denominator
         p, q = lo.numerator * hi.denominator, hi.numerator * lo.denominator
         w = Fraction(max_width)
-        s_hi = self._poly_sign(q, den) or 1  # 0: a rational root on the endpoint
+        s_hi = self._poly_sign(q, den)
         while (q - p) * w.denominator > w.numerator * den:
             mid, den = p + q, 2 * den
-            s_mid = self._poly_sign(mid, den)
-            if s_mid == 0:
-                # mid is the root itself; pin an interval around it
-                root, eps = Fraction(mid, den), w / 4
-                return root - eps, root + eps
-            p, q = (2 * p, mid) if s_mid == s_hi else (mid, 2 * q)
+            p, q = (2 * p, mid) if self._poly_sign(mid, den) == s_hi else (mid, 2 * q)
         return Fraction(p, den), Fraction(q, den)
 
     def refine(self, max_width: Fraction) -> tuple[Fraction, Fraction]:
@@ -394,8 +390,6 @@ class NumberFieldElement:
 
     @classmethod
     def generator(cls, ctx: NumberFieldContext) -> "NumberFieldElement":
-        if ctx.degree == 1:  # beta is rational: -c0/c1
-            return _zelement(ctx, ctx.minpoly[1], (-ctx.minpoly[0],))
         return _zelement(ctx, 1, (0, 1) + (0,) * (ctx.degree - 2))
 
     def _coerce(self, other):

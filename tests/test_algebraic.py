@@ -206,11 +206,9 @@ class TestSharedWalk:
                         assert bf.equiv(beta, x, ys[0]) == (ys is members)
 
     def test_zero_constant_term_is_malformed(self):
-        beta = bf.beta_from_json(ZERO_CONSTANT)
-        with pytest.raises(bf.MalformedContextError):
-            bf.equiv(beta, "011", "100")
-        with pytest.raises(bf.MalformedContextError):
-            bf.equiv_class(beta, "011")
+        # refused when the base is built, before any walk
+        with pytest.raises(bf.MalformedContextError, match="root 0"):
+            bf.beta_from_json(ZERO_CONSTANT)
 
 
 class TestGarsiaPredicate:

@@ -352,9 +352,11 @@ class TestMalformedInput:
             ({"plastic": dict(PLASTIC, bplus_upper="1/2")}, "preset 'plastic': bplus_upper must be at least 1"),
             ({"plastic": [-1, -1, 0, 1]}, "preset 'plastic': a base object must be a JSON object"),
             ([PLASTIC], "file {path!r} must hold a JSON object of presets"),
+            ({"three-halves": dict(PLASTIC, minpoly=[-3, 2], isolating=["5/4", "7/4"])},
+             "preset 'three-halves': minimal polynomial must have degree >= 2; give a rational base as p/q"),
         ],
         ids=["k-beta-fraction", "k-beta-negative", "stream-entry", "no-pi-lower", "zero-pi-lower",
-             "bplus-below-one", "entry-not-an-object", "top-level-list"],
+             "bplus-below-one", "entry-not-an-object", "top-level-list", "linear-entry"],
     )
     def test_preset_entry_errors(self, monkeypatch, tmp_path, presets, error):
         path = tmp_path / "presets.json"
@@ -574,6 +576,43 @@ def test_pinned_error(name):
     assert run_command(argv) == (1, "", stderr)
 
 
+# the arguments besides --beta of every subcommand that takes one
+BETA_ARGS = {
+    "expand": ["--s", "1/2", "--n", "4"], "lazy": ["--s", "1/2", "--n", "4"],
+    "random": ["--s", "1/2", "--n", "4", "--tosses", "seed:1"],
+    "convert": ["--binary", "0101", "--chunks", "1"], "convert-stream": ["--binary", "0101", "--chunks", "1"],
+    "canonicalize": ["--bits", "011"], "enumerate": ["--s", "1/2", "--n", "4"], "classes": ["--bits", "011"],
+    "tosses": ["--s", "1/2", "--x", "1"], "adc": DEVICE_ARGS[2:] + ["--tosses", "ones"],
+    "pipeline": DEVICE_ARGS[2:] + ["--tosses", "ones"], "bounds": [],
+    "measure": ["--m", "3", "--lo", "0", "--hi", "1/2"],
+}
+
+
+def test_every_beta_subcommand_is_listed():
+    assert set(BETA_ARGS) == {name for name, (_, _, specs, _) in COMMANDS.items() if ("--beta", {"required": True}) in specs}
+
+
+LINEAR = "error: minimal polynomial must have degree >= 2; give a rational base as p/q"
+
+
+# a rational base is written p/q, and a root 0 makes the polynomial reducible
+@pytest.mark.parametrize("command", list(BETA_ARGS))
+@pytest.mark.parametrize(
+    "base, stderr",
+    [
+        ({"minpoly": [-3, 2], "isolating": ["5/4", "7/4"]}, LINEAR),
+        ({"minpoly": [-9, 5], "isolating": ["7/4", "19/10"]}, LINEAR),
+        ({"minpoly": [0, -1, -1, 1], "isolating": ["3/2", "5/3"]},
+         "error: minimal polynomial has the root 0, so it is reducible"),
+    ],
+    ids=["3/2", "9/5", "zero-constant"],
+)
+def test_refused_base_objects_end_in_one_error_line(command, base, stderr):
+    base = json.dumps(base)
+    for extra in ([], ["--json"]):
+        assert run_command([command, "--beta", base, *BETA_ARGS[command], *extra]) == (1, "", stderr)
+
+
 CHILD_MEMORY = 512 << 20
 
 
@@ -632,6 +671,11 @@ def test_python_dash_m_entry_point():
         # a user preset claiming more conjugates on the unit circle than it has
         (["bounds", "--beta", "big", "--n", "12"],
          "error: BETA_FORGE_PRESETS preset 'big': k_beta must be at most 1, the degree minus 1\n"),
+        # a walk whose table of weights outgrows its bit budget on a base near 1
+        (["enumerate", "--beta", "101/100", "--s", "1/2", "--n", "16384"],
+         "error: expansion walk table exceeded 2147483648 bits\n"),
+        (["enumerate", "--beta", "1001/1000", "--s", "1/2", "--n", "16384"],
+         "error: expansion walk table exceeded 2147483648 bits\n"),
     ],
 )
 def test_oversized_inputs_end_in_one_error_line(argv, stderr, monkeypatch, tmp_path):

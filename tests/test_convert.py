@@ -272,6 +272,19 @@ class TestStreamParams:
                 assert bf.convert._dyadic_log2_upper(a) == dyadic_log2_upper_bisection(a, 10)
                 checked += 1
 
+    def test_long_upper_bracket_is_rounded_before_the_power(self, monkeypatch):
+        # hi with 200-digit terms; uncapped, its 2^16-th power took minutes
+        hi = "1" + "7" * 200 + "/1" + "0" * 200
+        base = '{"bits": "1011", "lo": "3/2", "hi": "%s"}' % hi
+        t0 = time.perf_counter()
+        status, out, err = run_command(["bounds", "--beta", base])
+        assert time.perf_counter() - t0 < 5
+        assert (status, err) == (0, "") and out.startswith('stream_params={"C_lower":"2222')
+        # still an upper bound, within one grid step of the exact one
+        monkeypatch.setattr(bf.convert, "LOG2_PRECISION_BITS", 10)
+        exact = dyadic_log2_upper_bisection(Fraction(hi), 10)
+        assert exact <= bf.convert._dyadic_log2_upper(Fraction(hi)) <= exact + Fraction(1, 1 << 10)
+
     def test_brackets_must_leave_room(self):
         with pytest.raises(bf.DomainError):
             bf.StreamBeta(lambda: iter([1]), Fraction(3), Fraction(3))
@@ -330,6 +343,17 @@ class TestConvertStream:
         assert ei.value.kind == "beta"
         ps = bf.params_stream(few)
         assert ei.value.required == ps.lam(2)
+
+    def test_stream_digits_must_be_0_or_1(self):
+        def stream(digits):
+            return bf.StreamBeta(lambda: iter(digits), Fraction(3, 2), Fraction(3, 2))
+
+        with pytest.raises(bf.DomainError, match="^stream digit 0 is '1', not 0 or 1$"):
+            bf.convert_stream(stream("1" + "0" * 200), "0101", 1)
+        with pytest.raises(bf.DomainError, match="^stream digit 3 is 2, not 0 or 1$"):
+            bf.convert_stream(stream([1, 0, 0, 2] + [0] * 200), "0101", 1)
+        ints = bf.convert_stream(stream([1] + [0] * 200), "0101" * 20, 2)
+        assert bf.convert_stream(stream([True] + [False] * 200), "0101" * 20, 2) == ints
 
     def test_insufficient_binary_bits(self):
         stream = bf.stream_from_exact(B32)

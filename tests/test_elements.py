@@ -67,12 +67,12 @@ def test_arithmetic_matches_fraction_oracle(name):
         assert (a == b) == (oa == ob) and (a == a + 0) and (a - a).is_zero()
 
 
-@pytest.mark.parametrize("name", BASES + ["degree1"])
+@pytest.mark.parametrize("name", BASES)
 def test_products_on_the_columns_match_the_fraction_oracle(name):
     """A product sums the integer columns of multiplication by one factor;
     coordinates of up to 200 bits, zero and rational operands, on monic and
-    non-monic bases and a degree-1 context."""
-    ctx = NumberFieldContext([-3, 2], (Fraction(5, 4), Fraction(7, 4))) if name == "degree1" else context(name)
+    non-monic bases."""
+    ctx = context(name)
     d = ctx.degree
     rng = random.Random(name + "columns")
 

@@ -10,8 +10,7 @@ from betaforge.numerics import NumberFieldContext, NumberFieldElement, format_ra
 from oracles import inverse_euclid
 
 
-# golden, tribonacci, sqrt2, cbrt2, (1 + sqrt 3)/2 (not monic), x^4 - x - 1
-# and a degree-1 context, 3/2
+# golden, tribonacci, sqrt2, cbrt2, (1 + sqrt 3)/2 (not monic) and x^4 - x - 1
 INVERSE_CONTEXTS = {
     "golden": bf.get_preset("golden").beta.ctx,
     "tribonacci": bf.get_preset("tribonacci").beta.ctx,
@@ -19,7 +18,6 @@ INVERSE_CONTEXTS = {
     "cbrt2": bf.get_preset("cbrt2").beta.ctx,
     "nonmonic": NumberFieldContext([-1, -2, 2], (Fraction(13, 10), Fraction(7, 5))),
     "quartic": NumberFieldContext([-1, -1, 0, 0, 1], (Fraction(6, 5), Fraction(5, 4))),
-    "degree1": NumberFieldContext([-3, 2], (Fraction(5, 4), Fraction(7, 4))),
 }
 
 
@@ -279,8 +277,9 @@ class TestFloorsAndParsing:
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str limit")
     def test_parse_rational_digit_runs_past_the_limit(self):
         limit = sys.get_int_max_str_digits()
+        # 1e(limit + 700) is refused before its power of ten is built, 1e(limit) after
         for text in ("1" * (limit + 1), "1/" + "1" * (limit + 1), "0." + "1" * (limit + 1), f"1e{limit}",
-                     "0" * (limit + 1), "1_" * limit + "1", "1e" + "1" * (limit + 1)):
+                     f"1e{limit + 700}", "0" * (limit + 1), "1_" * limit + "1", "1e" + "1" * (limit + 1)):
             with pytest.raises(bf.SizeGuardError, match=f"^number too long to parse: more than {limit} digits$"):
                 bf.parse_rational(text)
         # runs of `limit` digits still parse as before
@@ -351,26 +350,33 @@ class TestFieldFloors:
 
 
 class TestContextEdges:
-    def test_generator_of_a_degree_one_context(self):
-        g = NumberFieldElement.generator(INVERSE_CONTEXTS["degree1"])
-        assert g.coeffs == (Fraction(3, 2),)
-        assert g == Fraction(3, 2)
-
-    def test_bracket_bisection_lands_on_a_rational_root(self):
-        # the first midpoint of (5/4, 7/4) is the root 3/2 of 2x - 3
-        ctx = INVERSE_CONTEXTS["degree1"]
-        for w in (Fraction(1, 4), Fraction(1, 1 << 30)):
-            assert ctx.bracket(w) == (Fraction(3, 2) - w / 4, Fraction(3, 2) + w / 4)
+    @pytest.mark.parametrize("minpoly", [[-3, 2], [-9, 5], [-3, 2, 0, 0], [5], [0, 0]])
+    def test_degree_below_two_is_refused(self, minpoly):
+        # a rational base is a RationalBeta, written p/q
+        with pytest.raises(bf.MalformedContextError, match=r"^minimal polynomial must have degree >= 2; give a rational base as p/q$"):
+            NumberFieldContext(minpoly, (Fraction(5, 4), Fraction(7, 4)))
 
     def test_isolating_endpoint_on_a_root(self):
-        # a rational root may sit on an endpoint; 2x^2 - x - 3 = (2x - 3)(x + 1)
-        # has its root 3/2 there too, but at degree 2 it is rejected
-        ctx = NumberFieldContext([-3, 2], (Fraction(3, 2), Fraction(7, 4)))
-        assert NumberFieldElement.generator(ctx) == Fraction(3, 2)
-        lo, hi = ctx.bracket(Fraction(1, 1 << 20))
-        assert lo <= Fraction(3, 2) <= hi and hi - lo <= Fraction(1, 1 << 20)
+        # 2x^2 - x - 3 = (2x - 3)(x + 1) has its rational root 3/2 on an endpoint
         with pytest.raises(bf.MalformedContextError, match="^isolating endpoint is a root$"):
             NumberFieldContext([-3, -1, 2], (Fraction(3, 2), Fraction(7, 4)))
+
+    def test_repr_and_enclosure_give_the_isolating_interval(self):
+        ctx = make_golden_ctx()
+        assert repr(ctx) == "NumberFieldContext(minpoly=[-1, -1, 1], isolating=(3/2, 5/3))"
+        assert ctx.enclosure() == ctx.isolating == (Fraction(3, 2), Fraction(5, 3))
+
+    def test_float_and_str_operands_are_type_errors(self):
+        import operator
+
+        g = NumberFieldElement.generator(make_golden_ctx())
+        for other in (1.5, "1"):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                with pytest.raises(TypeError):
+                    op(g, other)
+                with pytest.raises(TypeError):
+                    op(other, g)
+            assert not g == other and not other == g and g != other
 
     def test_trailing_zero_coefficients_are_trimmed(self):
         ctx = NumberFieldContext([-1, -1, 1, 0, 0], (Fraction(3, 2), Fraction(5, 3)))
