@@ -203,7 +203,7 @@ def _convert(args, beta, preset):
     res = convert_rational(beta, args.binary, args.chunks)
     return lambda: {
         "beta": format_rational(res.params.beta),
-        "params": {"N": res.params.N, "sigma": [res.params.sigma(i) for i in range(args.chunks + 1)]},
+        "params": {"N": res.params.N, "sigma": res.params.sigmas(args.chunks)},
         "steps": [format_rational(r) for r in res.residuals],
         "bits": res.bits,
     }, res.bits
@@ -305,7 +305,7 @@ def _bounds(args, beta, preset):
         if n < 0:
             raise DomainError("bounds: --n must be nonnegative")
         pr = params_rational(beta)
-        lines["rational_params"] = {"N": pr.N, "sigma": [pr.sigma(i) for i in range(n + 1)]}
+        lines["rational_params"] = {"N": pr.N, "sigma": pr.sigmas(n)}
     ps = params_stream(stream_from_exact(beta))
     lines["stream_params"] = {"N": ps.N, "L": ps.L, "C_lower": format_rational(ps.C_lower)}
     return lines, lambda: "\n".join(f"{k}={_json_dump(v)}" for k, v in sorted(lines.items()))

@@ -8,7 +8,8 @@ base or its dyadic approximant, which one integer core of `numerics` takes
 from the integer powers of b.  For a rational base p/q the chunk size N is
 computed once from beta, and the running integers p^(N*i) and q^(N*i) also
 scale each injected slice.  For a base known only through the digit stream
-of beta - 1, the converter refines a dyadic approximant per chunk and also
+of beta - 1, the converter refines a dyadic approximant a per chunk, scales
+step i by the power a^(N*i) that sigma(i) is read from, and also
 carries a correction term for the error committed by emitting earlier chunks
 against coarser approximants; the schedule is then derived from certified
 rational brackets so every containment needed for well-definedness holds
@@ -37,9 +38,8 @@ from .numerics import (
     floor_log2,
     _ceil_log2_ratio,
     _int_powers,
-    _least_power,
 )
-from .expand import validate_bits, _delta2, _greedy_rule, _orbit, _tail, _word_value
+from .expand import validate_bits, _delta2, _greedy_rule, _least_power, _orbit, _tail, _word_value
 
 __all__ = [
     "InsufficientBitsError",
@@ -95,6 +95,18 @@ class RationalConvParams:
         if i == 0:
             return 0
         return self._sigma(i, *_int_powers(self.beta, self.N * i))
+
+    def sigmas(self, n: int) -> list[int]:
+        """[sigma(0), ..., sigma(n)] in one pass: sigma(n) first, under the
+        power budget, then the others from running products p^(N*i) and
+        q^(N*i)."""
+        last = self.sigma(n)
+        step_p, step_q = self.beta.numerator**self.N, self.beta.denominator**self.N
+        out, big_p, big_q = [0], 1, 1
+        for i in range(1, n):
+            big_p, big_q = big_p * step_p, big_q * step_q
+            out.append(self._sigma(i, big_p, big_q))
+        return out + [last] if n else out
 
     def _sigma(self, i: int, big_p: int, big_q: int) -> int:
         """sigma(i) for i >= 1, given big_p / big_q = beta^(N*i)."""
@@ -313,13 +325,17 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
                 f"{float(beta.lo):.6g}; stream bits inconsistent with brackets"
             )
 
-    def sigma(i):
-        return _ceil_log2_ratio(*_int_powers(approximants[i + 1], n_chunk * i)) - params.floor_log2_C if i else 0
+    def power(i):  # a_(i+1)^(N*i) as integers: sigma(i) and the scale of step i
+        return _int_powers(approximants[i + 1], n_chunk * i)
 
-    last = sigma(n)  # checked before the whole schedule is built
+    def sigma(i, big):
+        return _ceil_log2_ratio(*big) - params.floor_log2_C if i else 0
+
+    last = sigma(n, power(n))  # checked before the whole schedule is built
     if len(binary_prefix) < last:
         raise InsufficientBitsError("binary", last)
-    sigmas = [sigma(i) for i in range(n)] + [last]
+    scales = [power(i) for i in range(n)]
+    sigmas = [sigma(i, big) for i, big in enumerate(scales)] + [last]
     if any(a >= b2 for a, b2 in zip(sigmas, sigmas[1:])):
         raise InvariantViolation(f"binary read schedule not strictly increasing: {sigmas}")
 
@@ -331,7 +347,7 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
         b_cur = approximants[i]
         b_next = approximants[i + 1]
         step_slice = binary_prefix[sigmas[i] : sigmas[i + 1]]
-        scale = b_next ** (n_chunk * i)
+        scale = Fraction(*scales[i])
         injected = scale / Fraction(1 << sigmas[i]) * _delta2(step_slice)
         reread = _word_value(b_next, emitted)
         correction = scale * (emitted_value - reread)

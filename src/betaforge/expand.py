@@ -36,7 +36,7 @@ from .numerics import (
     exact_cmp,
     exact_float,
     exact_sign,
-    _least_power,
+    _power_budget,
     _zcoords,
     _zelement,
     _zmul_beta,
@@ -164,13 +164,13 @@ def _side(sign, lo, hi) -> int:
     return 1 if sign(hi) > 0 else 0
 
 
-# longest orbit, in digits, of every generator, and longest word of every
-# word set (`_cap_length`).  At this length, from s = 3/4 on 2 vCPUs
-# (Python 3.11.7, one call per process), golden, tribonacci and 3/2 took
-# 0.03-0.13 s greedy, lazy or in `adc_run`.  The non-Pisot bases, whose
-# coordinates grow without bound, are the slowest: cbrt2 took 4.9-6.0 s
-# greedy or lazy and sqrt2 3.3-4.8 s, and `adc_run`, with four cuts to
-# compare, 15-19 s and 12-14 s
+# longest orbit, in digits, of every generator, longest word of every word
+# set (`_cap_length`), and largest least power (`_least_power`).  At this
+# length, from s = 3/4 on 2 vCPUs (Python 3.11.7, one call per process),
+# golden, tribonacci and 3/2 took 0.03-0.13 s greedy, lazy or in `adc_run`.
+# The non-Pisot bases, whose coordinates grow without bound, are the
+# slowest: cbrt2 took 4.9-6.0 s greedy or lazy and sqrt2 3.3-4.8 s, and
+# `adc_run`, with four cuts to compare, 15-19 s and 12-14 s
 ORBIT_CAP = 1 << 14
 
 
@@ -181,6 +181,27 @@ def _cap_length(n: int) -> None:
         raise DomainError("n must be nonnegative")
     if n > ORBIT_CAP:
         raise SizeGuardError(f"{n} digits exceed the orbit cap ORBIT_CAP = {ORBIT_CAP}")
+
+
+def _least_power(b: ExactReal, target: ExactReal) -> int:
+    """Least m >= 0 with b^m >= target, for b > 1; exact_cmp decides each
+    step, so an exact power b^m = target gives m.  A base at or below 1 is a
+    DomainError, since its powers need never reach the target.  An m past
+    ORBIT_CAP is a SizeGuardError, as an orbit of that length is, and a
+    rational b^m past the power budget a BudgetExceededError."""
+    if exact_cmp(b, 1) <= 0:
+        raise DomainError(f"least power needs a base above 1, got {b}")
+    # a field base's powers are bounded by the cap alone
+    bits = b.numerator.bit_length() + b.denominator.bit_length() if isinstance(b, Fraction) else 0
+    m = 0
+    p = b - b + 1
+    while exact_cmp(p, target) < 0:
+        if m == ORBIT_CAP:
+            raise SizeGuardError(f"least power exceeds the orbit cap ORBIT_CAP = {ORBIT_CAP}")
+        _power_budget(m + 1, bits)
+        p = p * b
+        m += 1
+    return m
 
 
 def _orbit(b, r, n, rule, cuts=()):

@@ -10,8 +10,8 @@ length):
     f_2_to_beta   widens J(x) = [value(x) - 2^-n, value(x) + 2^-n] by 2^-n
     g_beta_window widens [value(x) -/+ tail] by 2^-n with n = len(x)
 
-The exact-value cores `_word_value`, `_tail` (expand) and `_least_power`
-(numerics, behind `base_length`) take an exact value, so f_beta_to_2
+The exact-value cores `_word_value`, `_tail` and `_least_power` (expand,
+the last behind `base_length`) take an exact value, so f_beta_to_2
 evaluates a rational or field window endpoint as it would a base.
 
 The exact prefix set of s is a window too: the length-n words with values in
@@ -43,9 +43,9 @@ from .numerics import (
     beta_value,
     exact_cmp,
     exact_floor,
-    _least_power,
 )
-from .expand import delta_finite, tail_bound, validate_bits, _cap_length, _check_in_domain, _delta2, _tail, _word_value
+from .expand import delta_finite, tail_bound, validate_bits
+from .expand import _cap_length, _check_in_domain, _delta2, _least_power, _tail, _word_value
 from . import algebraic
 from .algebraic import ClassPartition, _window_walk
 

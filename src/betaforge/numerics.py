@@ -572,6 +572,10 @@ class NumberFieldElement:
                 terms.append(f"{c}" if i == 0 else f"{c}*b^{i}")
         return "NFE(" + (" + ".join(terms) if terms else "0") + ")"
 
+    def __str__(self):
+        """A rational element prints as its Fraction, as a rational base's values do."""
+        return repr(self) if any(self.num[1:]) else str(Fraction(self.num[0], self.den))
+
 
 # the slots' own setters, which bypass the immutability guard
 _set_ctx = NumberFieldElement.ctx.__set__
@@ -623,22 +627,15 @@ def exact_floor(x: ExactReal) -> int:
 
 def floor_log2(a: ExactReal) -> int:
     """Greatest m with 2^m <= a, for a > 0, decided exactly; on a rational
-    p/r it is -ceil(log2(r/p)).  On a field element, `filter_bounds` of its
-    coordinates at doubling precision give integers 0 < lo <= a*den*2^bits
-    <= hi < 2*lo, so floor(log2(lo / (den*2^bits))) = m puts the answer at m
-    or m + 1, and one exact comparison with 2^(m+1) decides."""
+    p/r it is -ceil(log2(r/p)).  On a field element both branches come from
+    `exact_floor`: for a >= 1, 2^m <= a exactly when 2^m <= floor(a), and
+    below 1, 2^-m >= 1/a exactly when 2^-m >= ceil(1/a)."""
     if exact_sign(a) <= 0:
         raise DomainError("floor_log2 requires a positive argument")
     if isinstance(a, Fraction):
         return -_ceil_log2_ratio(a.denominator, a.numerator)
-    bits = FILTER_BITS
-    while True:
-        lo, hi = a.ctx.filter_bounds(a.num, bits)
-        if 0 < lo and hi < 2 * lo:
-            break
-        bits *= 2
-    m = -_ceil_log2_ratio(a.den << bits, lo)
-    return m + 1 if exact_cmp(a, Fraction(2) ** (m + 1)) >= 0 else m
+    k = exact_floor(a)
+    return k.bit_length() - 1 if k else -(-exact_floor(-1 / a) - 1).bit_length()
 
 
 def ceil_log2(a: ExactReal) -> int:
@@ -647,20 +644,6 @@ def ceil_log2(a: ExactReal) -> int:
         return _ceil_log2_ratio(a.numerator, a.denominator)
     f = floor_log2(a)
     return f if exact_cmp(a, Fraction(2) ** f) == 0 else f + 1
-
-
-def _least_power(b: ExactReal, target: ExactReal) -> int:
-    """Least m >= 0 with b^m >= target, for b > 1; exact_cmp decides each
-    step, so an exact power b^m = target gives m.  A base at or below 1 is a
-    DomainError, since its powers need never reach the target."""
-    if exact_cmp(b, 1) <= 0:
-        raise DomainError(f"least power needs a base above 1, got {b}")
-    m = 0
-    p = b - b + 1
-    while exact_cmp(p, target) < 0:
-        p = p * b
-        m += 1
-    return m
 
 
 def exact_log2_bounds(a: ExactReal, k: int) -> tuple[int, int]:

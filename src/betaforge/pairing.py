@@ -25,25 +25,20 @@ def _bar(x: str) -> str:
 def encode_pairing(items: list[str]) -> str:
     """Left-nested self-delimiting encoding of a nonempty list of bitstrings.
 
-    A single item is emitted in its prefix-free form 1^|x| 0 x; longer lists
-    fold left, each level prefixing the previous encoding.  The two-item code
-    has length 2|x| + |y| + 1.
+    A single item is emitted in its prefix-free form 1^|x| 0 x, the fold of
+    [x, ""]; longer lists fold left, each level prefixing the previous
+    encoding.  The two-item code has length 2|x| + |y| + 1.  Each fold step
+    checks its length against PAIRING_CAP before it builds the string.
     """
     if not items:
         raise DomainError("cannot encode an empty list")
     for it in items:
         if it.strip("01"):
             raise DomainError(f"items must be bitstrings, got {it!r}")
-    # the code's length, folded like the code itself and saturated past the cap
-    length = 2 * len(items[0]) + 1 + sum(len(it) for it in items[1:2])
-    for it in items[2:]:
-        length = min(2 * length + 1 + len(it), PAIRING_CAP + 1)
-    if length > PAIRING_CAP:
-        raise SizeGuardError(f"pairing code of {len(items)} items exceeds the {PAIRING_CAP}-character cap")
-    if len(items) == 1:
-        return _bar(items[0])
-    enc = _bar(items[0]) + items[1]
-    for it in items[2:]:
+    enc = items[0]
+    for it in items[1:] or [""]:
+        if 2 * len(enc) + 1 + len(it) > PAIRING_CAP:
+            raise SizeGuardError(f"pairing code of {len(items)} items exceeds the {PAIRING_CAP}-character cap")
         enc = _bar(enc) + it
     return enc
 

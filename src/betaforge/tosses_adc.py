@@ -113,8 +113,7 @@ def adc_run(beta: BetaSpec, q: Quantizer, s: ExactReal, n: int, tosses: BitStrea
     """
     b = beta_value(beta)
     _check_in_domain(b, s)
-    switch_idx = []
-    consumed = []
+    switch = []
     fault_idx = []
 
     # cuts: the switch region (0, 1), then the comparator band (2, 3)
@@ -123,15 +122,14 @@ def adc_run(beta: BetaSpec, q: Quantizer, s: ExactReal, n: int, tosses: BitStrea
         band = _side(sign, 2, 3)
         bit = tosses.next_bit() if band == 0 else int(band > 0)
         if side == 0:
-            switch_idx.append(i)
-            consumed.append(str(bit))
+            switch.append(i)
         elif bit != (side > 0):  # 1 below the region or 0 above it
             fault_idx.append(i)
             return bit, 0 if bit else 1
         return bit, None
 
     bits, r = _orbit(b, s, n, rule, _region(b) + (q.t - q.eps, q.t + q.eps))
-    return RunRecord(bits, tuple(switch_idx), "".join(consumed), r, bool(fault_idx), tuple(fault_idx))
+    return RunRecord(bits, tuple(switch), "".join(bits[i] for i in switch), r, bool(fault_idx), tuple(fault_idx))
 
 
 def replay_tosses(beta: BetaSpec, s: ExactReal, x: str) -> str:

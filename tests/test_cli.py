@@ -68,6 +68,23 @@ class TestPairing:
         with pytest.raises(bf.SizeGuardError):
             encode_pairing(["1" * (PAIRING_CAP // 2)])
 
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_refused_exactly_past_the_cap(self, arity):
+        """A code of PAIRING_CAP characters is built and one of PAIRING_CAP + 1
+        refused, for two and three items.  One item codes to the odd length
+        2L + 1, so its two sides of the cap are PAIRING_CAP - 1 and + 1."""
+
+        def items(extra):
+            if arity == 1:
+                return ["1" * (PAIRING_CAP // 2 - 1 + extra)]
+            # the last item follows a code of 2001 or 63 characters
+            head, fixed = (["1" * 1000], 2001) if arity == 2 else (["1" * 10, "0" * 10], 63)
+            return head + ["0" * (PAIRING_CAP - fixed + extra)]
+
+        assert len(encode_pairing(items(0))) == PAIRING_CAP - (arity == 1)
+        with pytest.raises(bf.SizeGuardError, match=f"^pairing code of {arity} items exceeds the {PAIRING_CAP}-"):
+            encode_pairing(items(1))
+
     def test_malformed(self):
         with pytest.raises(bf.MalformedEncodingError):
             decode_pairing("111")
@@ -200,6 +217,29 @@ class TestSubcommands:
             status, out, err = run_command(["bounds", "--beta", "3/2", "--n", "-3"] + extra)
             assert status == 1 and out == ""
             assert err.startswith("error:") and "--n must be nonnegative" in err
+
+    @pytest.mark.parametrize("beta", ["3/2", "9/5", "7/4", "101/100"])
+    def test_schedules_list_sigma_of_every_index(self, beta, rng):
+        """The sigma lists of `bounds` and `convert --json`, built from
+        running products, against sigma(i) from its own power.  On 101/100
+        (N = 70) the powers run to 10^6 bits, so every 17th index and the
+        last three stand for the whole list there."""
+        p = bf.params_rational(bf.RationalBeta(Fraction(beta)))
+        for n in (0, 1, 4, 12, 1020):
+            status, out, err = run_command(["bounds", "--beta", beta, "--n", str(n), "--json"])
+            got = json.loads(out)["rational_params"]["sigma"]
+            indices = range(n + 1) if p.N < 50 else sorted({*range(0, n + 1, 17), *range(max(0, n - 2), n + 1)})
+            assert (status, err, len(got)) == (0, "", n + 1)
+            assert [got[i] for i in indices] == [p.sigma(i) for i in indices]
+        # the exact residuals of 101/100 pass the digit limit from about 30 chunks
+        for n in (0, 1, 4, 12) + (() if p.N > 50 else (300, 1020)):
+            bits = format(rng.getrandbits(p.sigma(n) + 1), "b").zfill(p.sigma(n) + 1)
+            status, out, err = run_command(["convert", "--beta", beta, "--binary", bits, "--chunks", str(n), "--json"])
+            assert (status, err) == (0, "")
+            assert json.loads(out)["params"]["sigma"] == [p.sigma(i) for i in range(n + 1)]
+        if p.N > 50:
+            status, out, err = run_command(["bounds", "--beta", beta, "--n", "1021"])
+            assert (status, out, err) == (1, "", "error: a^71470 would exceed the 1000000-bit budget")
 
     def test_bounds_near_two(self):
         """19999/10000 lies 1/10000 below 2, so its schedule still exists."""
@@ -558,6 +598,16 @@ PINNED_ERRORS = {
          "--binary", "1011", "--chunks", "1"],
         NEAR_TWO,
     ),
+    # golden's switch region ends at 1/(beta(beta - 1)) = 1, a rational
+    # element, which prints as the rational 9/5's end 25/36 does
+    "unsound-band-golden": (
+        ["pipeline", "--beta", "golden", "--t", "1", "--eps", "1/10", "--s", "1/2", "--n", "8", "--tosses", "ones"],
+        "error: pipeline requires a sound quantizer: band upper end 11/10 exceeds the switch region end 1",
+    ),
+    "unsound-band-9/5": (
+        ["pipeline", "--beta", "9/5", "--t", "1", "--eps", "1/10", "--s", "1/2", "--n", "8", "--tosses", "ones"],
+        "error: pipeline requires a sound quantizer: band upper end 11/10 exceeds the switch region end 25/36",
+    ),
 }
 
 
@@ -676,6 +726,16 @@ def test_python_dash_m_entry_point():
          "error: expansion walk table exceeded 2147483648 bits\n"),
         (["enumerate", "--beta", "1001/1000", "--s", "1/2", "--n", "16384"],
          "error: expansion walk table exceeded 2147483648 bits\n"),
+        # a chunk size past the orbit cap on a base near 1: the rational
+        # converter's N, and the stream schedule's N from 1 + (lo - 1)/10
+        (["convert", "--beta", "100001/100000", "--binary", "1", "--chunks", "0"],
+         "error: least power exceeds the orbit cap ORBIT_CAP = 16384\n"),
+        (["bounds", "--beta", "10001/10000"], "error: least power exceeds the orbit cap ORBIT_CAP = 16384\n"),
+        (["bounds", "--beta", '{"bits": "0000000001", "lo": "100001/100000", "hi": "3/2"}'],
+         "error: least power exceeds the orbit cap ORBIT_CAP = 16384\n"),
+        # a least power whose base holds 2,000 bits passes the budget first
+        (["convert", "--beta", f"{10**300 + 1}/{10**300}", "--binary", "1", "--chunks", "0"],
+         "error: a^502 would exceed the 1000000-bit budget\n"),
     ],
 )
 def test_oversized_inputs_end_in_one_error_line(argv, stderr, monkeypatch, tmp_path):

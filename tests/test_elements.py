@@ -40,6 +40,8 @@ def random_coeffs(rng, d):
 def same(element, oracle):
     assert element.coeffs == oracle.coeffs
     assert repr(element) == repr(oracle)
+    # messages print a rational element as its Fraction, any other as repr
+    assert str(element) == (repr(oracle) if any(oracle.coeffs[1:]) else str(oracle.coeffs[0]))
     assert element.den > 0 and all(type(x) is int for x in element.num)
 
 

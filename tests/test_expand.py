@@ -403,6 +403,16 @@ def test_landing_matches_the_loop(name, rng):
     assert [bf.landing_threshold(spec, r).least_landing for r in ties] == list(range(1, 7))
 
 
+def test_landing_past_the_orbit_cap():
+    # r = 2 - 10^-k, below the fixed point 2 of 3/2, lands after about
+    # 5.68 k steps: past ORBIT_CAP at k = 5000, within it at k = 2000
+    with pytest.raises(bf.SizeGuardError, match="^least power exceeds the orbit cap ORBIT_CAP = 16384$"):
+        bf.landing_threshold(B32, 2 - Fraction(1, 10**5000))
+    assert bf.landing_threshold(B32, 2 - Fraction(1, 10**2000)).least_landing == landing_oracle(
+        B32, 2 - Fraction(1, 10**2000)
+    )
+
+
 @pytest.mark.parametrize("name", ["3/2", "golden"])
 def test_landing_within_a_float_of_the_fixed_point(name):
     """r = 1/(beta-1) - 10^-400 makes ratio = (2-beta)/((beta-1) 10^-400),

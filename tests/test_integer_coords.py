@@ -116,6 +116,7 @@ def test_adc_run_every_field(case, sound):
         rec = bf.adc_run(spec, bf.Quantizer(t, eps), s, n, bf.BitStream.from_bits(tosses))
         bits, switch, consumed, residual, fault, fault_idx = adc_run_elements(spec, t, eps, s, n, tosses)
         assert (rec.bits, rec.switch_indices, rec.consumed_tosses) == (bits, switch, consumed)
+        assert rec.consumed_tosses == "".join(rec.bits[i] for i in rec.switch_indices)
         assert (rec.fault, rec.fault_indices) == (fault, fault_idx)
         assert same(rec.residual, residual)
         faults += rec.fault

@@ -64,6 +64,17 @@ class TestBaseLength:
         with pytest.raises(bf.DomainError, match="^n must be nonnegative$"):
             bf.base_length(Fraction(3, 2), -1)
 
+    def test_past_the_orbit_cap_or_the_budget(self, golden):
+        # 2^16 needs golden^m for m = 24; 2^11400 needs more than ORBIT_CAP
+        # powers, and a power of a 2,000-bit base passes the bit budget first
+        assert bf.base_length(golden.beta.element(), 16) == 24
+        with pytest.raises(bf.SizeGuardError, match="^least power exceeds the orbit cap ORBIT_CAP = 16384$"):
+            bf.base_length(golden.beta.element(), 11400)
+        with pytest.raises(bf.SizeGuardError, match="orbit cap"):
+            bf.base_length(Fraction(100001, 100000), 1)
+        with pytest.raises(bf.BudgetExceededError, match=r"^a\^502 would exceed the 1000000-bit budget$"):
+            bf.base_length(Fraction(10**300 + 1, 10**300), 1)
+
 
 class TestFBetaTo2:
     def test_pinned_degenerate_example(self):

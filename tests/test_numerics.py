@@ -327,14 +327,18 @@ class TestFloorsAndParsing:
 class TestFieldFloors:
     # exact_floor, floor_log2 and ceil_log2 on field elements against their
     # definitions, decided by exact comparison: exact powers of two (sqrt2^2,
-    # sqrt2^6, cbrt2^6, cbrt2^-300), elements far below 1 and far above it,
-    # and random coordinates
+    # sqrt2^6, cbrt2^6, cbrt2^-300, and rational elements), elements far
+    # below 1, in (1/2, 1) and far above 1, and random coordinates
     @pytest.mark.parametrize("name", ["golden", "tribonacci", "sqrt2", "cbrt2"])
     def test_definitions(self, name, rng):
         b = bf.get_preset(name).beta.element()
         one = b - b + 1
         elements = [b, b * b, b**6, b**-1, (b - 1) ** 120, b**200, b**-200, b**-300, one * 2, one / 3]
         elements += [b**k * Fraction(2) ** j for k in (-7, 0, 5) for j in (-40, 0, 40)]
+        # rational-valued powers of two, and elements in (1/2, 1), where
+        # floor_log2 takes -ceil(log2(ceil(1/a))) = -1
+        elements += [one * Fraction(2) ** j for j in (-200, -64, -2, -1, 1, 2, 63, 64, 200)]
+        elements += [1 / b, one * Fraction(3, 4), (b + 1) / (b + 2), one - Fraction(1, 2**70), one / 2 + Fraction(1, 2**70)]
         elements += [
             NumberFieldElement(b.ctx, [Fraction(rng.randrange(-10**9, 10**9), rng.randrange(1, 10**6)) for _ in b.num])
             for _ in range(30)
