@@ -6,8 +6,10 @@ orbit of `expand`, with no second domain check, as each carry cap lies below
 1/(beta-1).  Both read schedules sigma(i) rest on ceil(N*i*log2(b)), b the
 base or its dyadic approximant, which one integer core of `numerics` takes
 from the integer powers of b.  For a rational base p/q the chunk size N is
-computed once from beta, and the running integers p^(N*i) and q^(N*i) also
-scale each injected slice.  For a base known only through the digit stream
+computed once from beta, the running integers p^(N*i) and q^(N*i) also
+scale each injected slice, and the residual after i chunks is an integer over
+q^(N*i)*2^sigma(i), stepped by the integer orbit core of `expand`; only the
+recorded residuals are reduced.  For a base known only through the digit stream
 of beta - 1, the converter refines a dyadic approximant a per chunk, scales
 step i by the power a^(N*i) that sigma(i) is read from, and also
 carries a correction term for the error committed by emitting earlier chunks
@@ -39,7 +41,16 @@ from .numerics import (
     _ceil_log2_ratio,
     _int_powers,
 )
-from .expand import validate_bits, _delta2, _greedy_rule, _least_power, _orbit, _tail, _word_value
+from .expand import (
+    validate_bits,
+    _delta2,
+    _greedy_rule,
+    _least_power,
+    _orbit,
+    _rational_orbit,
+    _tail,
+    _word_value,
+)
 
 __all__ = [
     "InsufficientBitsError",
@@ -141,8 +152,12 @@ def convert_rational(beta: RationalBeta, binary_prefix: str, n: int) -> Rational
     [0, beta/(2*(beta-1))], and emits the greedy chunk of the sum.  With
     beta = p/q, the running integers P = p^(N*i) and Q = q^(N*i) give both
     sigma(i+1) and the injection P*s / (Q*2^sigma(i+1)) of the slice s
-    between sigma(i) and sigma(i+1).  The carry cap lies below 1/(beta-1),
-    so each chunk steps the greedy orbit with no further domain check.
+    between sigma(i) and sigma(i+1).  The residual after i chunks is carried
+    as an integer x over Q*2^sigma(i), the denominator the orbit core
+    `_rational_orbit` leaves, so each chunk reduces one fraction, the one
+    recorded in `residuals`; the checks cross-multiply.  The carry cap lies
+    below 1/(beta-1), so each chunk steps the greedy orbit with no further
+    domain check.
     """
     params = params_rational(beta)
     b, n_chunk = params.beta, params.N
@@ -152,29 +167,30 @@ def convert_rational(beta: RationalBeta, binary_prefix: str, n: int) -> Rational
     last = params.sigma(n)  # sigma increases: check before building the schedule
     if len(binary_prefix) < last:
         raise InsufficientBitsError("binary", last)
-    step_p, step_q = b.numerator**n_chunk, b.denominator**n_chunk
+    p, q = b.numerator, b.denominator
+    step_p, step_q = p**n_chunk, q**n_chunk
     big_p = big_q = 1  # beta^(N*i) = big_p / big_q
     lo = 0  # sigma(i)
-    carry_cap = (b / 2) / (b - 1)
-    cuts = (1 / b,)
-    residual = Fraction(0)
-    residuals = [residual]
+    cuts = ((q, p),)  # 1/beta
+    x = 0  # the residual is x / (big_q << lo)
+    residuals = [Fraction(0)]
     out = []
     for i in range(n):
         next_p, next_q = big_p * step_p, big_q * step_q
         hi = params._sigma(i + 1, next_p, next_q)
-        injected = Fraction(big_p * int(binary_prefix[lo:hi], 2), big_q << hi)
-        total = residual + injected
-        if not (0 <= total <= carry_cap):
+        injected = big_p * int(binary_prefix[lo:hi], 2)
+        tx, tden = (x << (hi - lo)) + injected, big_q << hi
+        # 0 <= tx / tden <= beta / (2*(beta-1)) = p / (2*(p-q))
+        if not (0 <= tx and 2 * (p - q) * tx <= p * tden):
             raise InvariantViolation(
-                f"step {i}: carried sum {total} outside [0, {carry_cap}]; "
-                f"residual={residual} injected={injected} beta={b}"
+                f"step {i}: carried sum {Fraction(tx, tden)} outside [0, {(b / 2) / (b - 1)}]; "
+                f"residual={residuals[-1]} injected={Fraction(injected, tden)} beta={b}"
             )
-        chunk, residual = _orbit(b, total, n_chunk, _greedy_rule, cuts)
-        if not (0 <= residual <= 1):
-            raise InvariantViolation(f"step {i}: residual {residual} left [0, 1]")
+        chunk, x, den = _rational_orbit(p, q, tx, tden, n_chunk, _greedy_rule, cuts)
+        if not (0 <= x <= den):
+            raise InvariantViolation(f"step {i}: residual {Fraction(x, den)} left [0, 1]")
         out.append(chunk)
-        residuals.append(residual)
+        residuals.append(Fraction(x, den))
         big_p, big_q, lo = next_p, next_q, hi
     return RationalConversion("".join(out), tuple(residuals), params)
 

@@ -10,7 +10,8 @@ declares up front the thresholds it compares against.  On a field base the
 orbit steps integer coordinates over one shared denominator and sends each
 comparison through the integer interval filter of `numerics`; a certified
 exact sign is taken only on near-ties.  A rational base p/q steps an integer
-numerator over a denominator that gains a factor q per step.
+numerator over a denominator that gains a factor q per step, in the integer
+core `_rational_orbit` that the rational converter also runs.
 
 The exact-value cores take an exact base value b, a Fraction or a field
 element: `_word_value(b, bits)` behind `delta_finite` and `_tail(b, n)` =
@@ -27,6 +28,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .numerics import (
+    BIT_BUDGET,
     BetaForgeError,
     BetaSpec,
     DomainError,
@@ -36,6 +38,7 @@ from .numerics import (
     exact_cmp,
     exact_float,
     exact_sign,
+    floor_log2,
     _power_budget,
     _zcoords,
     _zelement,
@@ -188,20 +191,63 @@ def _least_power(b: ExactReal, target: ExactReal) -> int:
     step, so an exact power b^m = target gives m.  A base at or below 1 is a
     DomainError, since its powers need never reach the target.  An m past
     ORBIT_CAP is a SizeGuardError, as an orbit of that length is, and a
-    rational b^m past the power budget a BudgetExceededError."""
+    rational b^m past the power budget a BudgetExceededError.
+
+    A rational b = 1 + delta refuses up front, before the first product, a
+    target the loop would refuse: (1 + delta)^m < e^(m*delta) <
+    2^(3*m*delta/2) for m >= 1, as log2(e) < 3/2, so b^m reaches a target
+    t >= 2 only for m > 2*floor_log2(t) / (3*delta).  When that bound
+    passes the first m at which the loop raises, the same error is raised
+    at once."""
     if exact_cmp(b, 1) <= 0:
         raise DomainError(f"least power needs a base above 1, got {b}")
     # a field base's powers are bounded by the cap alone
     bits = b.numerator.bit_length() + b.denominator.bit_length() if isinstance(b, Fraction) else 0
-    m = 0
-    p = b - b + 1
-    while exact_cmp(p, target) < 0:
+
+    def refuse(m):  # the error of the step from b^m to b^(m+1), if any
         if m == ORBIT_CAP:
             raise SizeGuardError(f"least power exceeds the orbit cap ORBIT_CAP = {ORBIT_CAP}")
         _power_budget(m + 1, bits)
+
+    if bits and isinstance(target, (int, Fraction)) and target >= 2:
+        first = min(ORBIT_CAP, BIT_BUDGET // bits)  # the first m the loop refuses
+        if 2 * floor_log2(Fraction(target)) * b.denominator >= 3 * (b.numerator - b.denominator) * first:
+            refuse(first)
+    m = 0
+    p = b - b + 1
+    while exact_cmp(p, target) < 0:
+        refuse(m)
         p = p * b
         m += 1
     return m
+
+
+def _rational_orbit(p, q, x, den, n, rule, cuts):
+    """The shift map of `_orbit` on a rational base p/q, on integers: the
+    residual x / den (not reduced) and each cut (cn, cd) of `cuts` as an
+    integer pair.  Each step multiplies den by q, so no step reduces a
+    fraction, and each comparison is one cross-multiplication with a cut.
+    Returns (word, x, den) for the final residual x / den; with no clamp,
+    den is the given one times q^n."""
+    out = []
+
+    def sign(k):
+        cn, cd = cuts[k]
+        lhs, rhs = x * cd, cn * den
+        return (lhs > rhs) - (lhs < rhs)
+
+    def residual():
+        return Fraction(x, den)
+
+    for i in range(n):
+        d, origin = rule(i, sign, residual)
+        if origin is not None:
+            x, den = cuts[origin]
+        out.append("1" if d else "0")
+        # b*r - d = (p*x - d*q*den) / (q*den)
+        den *= q
+        x = p * x - den if d else p * x
+    return "".join(out), x, den
 
 
 def _orbit(b, r, n, rule, cuts=()):
@@ -212,43 +258,25 @@ def _orbit(b, r, n, rule, cuts=()):
     when origin is None, else from cuts[origin] (a clamp, see
     tosses_adc.adc_run).  Returns the word and the final residual.
 
-    A rational base p/q steps an integer numerator over a denominator that
-    gains a factor q per step, so no step reduces a fraction: each comparison
-    is one cross-multiplication with a cut, and the Fraction residual is
-    built only when the rule asks for it and once on return.  Field bases
-    step integer coordinates over one shared denominator, and likewise build
-    the exact residual only when asked for; their comparisons go through the
-    integer interval filter (`NumberFieldContext.filter_bounds`): the cuts
-    are bounded once per call and the residual once per step, and the
-    certified evaluator runs only when the two intervals overlap, on a
-    near-tie or an exact one.  More than ORBIT_CAP steps raise
-    SizeGuardError before the first one.
+    A rational base runs the integer core `_rational_orbit`, Fraction in and
+    Fraction out: the exact residual is built only when the rule asks for it
+    and once on return.  Field bases step integer coordinates over one
+    shared denominator, and likewise build the exact residual only when
+    asked for; their comparisons go through the integer interval filter
+    (`NumberFieldContext.filter_bounds`): the cuts are bounded once per call
+    and the residual once per step, and the certified evaluator runs only
+    when the two intervals overlap, on a near-tie or an exact one.  More
+    than ORBIT_CAP steps raise SizeGuardError before the first one.
     """
     _cap_length(n)
-    out = []
     if isinstance(b, Fraction):
-        # r = x / den, not reduced: with b = p/q, b*r - d = (p*x - d*q*den) / (q*den)
-        p, q = b.numerator, b.denominator
-        x, den = r.numerator, r.denominator
-        cut_nd = [(c.numerator, c.denominator) for c in cuts]
+        word, x, den = _rational_orbit(
+            b.numerator, b.denominator, r.numerator, r.denominator, n, rule,
+            [(c.numerator, c.denominator) for c in cuts],
+        )
+        return word, Fraction(x, den)
 
-        def sign(k):
-            cn, cd = cut_nd[k]
-            lhs, rhs = x * cd, cn * den
-            return (lhs > rhs) - (lhs < rhs)
-
-        def residual():
-            return Fraction(x, den)
-
-        for i in range(n):
-            d, origin = rule(i, sign, residual)
-            if origin is not None:
-                x, den = cut_nd[origin]
-            out.append("1" if d else "0")
-            den *= q
-            x = p * x - den if d else p * x
-        return "".join(out), Fraction(x, den)
-
+    out = []
     ctx = b.ctx
     poly = ctx.minpoly
     a = poly[-1]

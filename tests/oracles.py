@@ -25,7 +25,8 @@ that tries every item length and arity with its closed-form code length,
 checks `pairing.decode_pairing`, with which it shares only `_split_bar`.
 `orbit_fractions`, the rational branch of the shift-map orbit as it stepped
 Fractions, and `convert_rational_fractions`, the rational converter as it
-computed each sigma(i) and injection from a fresh exact power of beta,
+computed each sigma(i) and injection from a fresh exact power of beta and
+carried its residual, injection and carried sum as reduced Fractions,
 check `expand._orbit` on rational bases and `convert.convert_rational`.
 """
 
@@ -792,8 +793,9 @@ def orbit_fractions(b, r, n, rule, cuts=()):
 def convert_rational_fractions(beta, binary_prefix: str, n: int):
     """`convert.convert_rational` as it ran on Fractions: sigma(i) from
     `exact_log2_bounds` on beta^(N*i), each injection from a fresh power of
-    beta, and each chunk from the greedy rule on `orbit_fractions` after the
-    domain check of `greedy_prefix`.  Returns (bits, residuals, sigmas) and
+    beta, the residual, the injection and the carried sum each a reduced
+    Fraction, and each chunk from the greedy rule on `orbit_fractions` after
+    the domain check of `greedy_prefix`.  Returns (bits, residuals, sigmas) and
     raises what the converter raised, with the same messages."""
     params = bf.params_rational(beta)
     b, n_chunk = params.beta, params.N
@@ -832,3 +834,19 @@ def convert_rational_fractions(beta, binary_prefix: str, n: int):
         out.append(chunk)
         residuals.append(residual)
     return "".join(out), tuple(residuals), sigmas
+
+
+def least_power_loop(b: Fraction, target, cap: int, budget: int) -> int:
+    """`expand._least_power` on a rational base as the plain loop of exact
+    products, with its orbit cap and power budget as arguments: before each
+    product the step refuses past the cap, then past the budget."""
+    bits = b.numerator.bit_length() + b.denominator.bit_length()
+    m, power = 0, Fraction(1)
+    while power < target:
+        if m == cap:
+            raise bf.SizeGuardError(f"least power exceeds the orbit cap ORBIT_CAP = {cap}")
+        if (m + 1) * bits > budget:
+            raise bf.BudgetExceededError(f"a^{m + 1} would exceed the {budget}-bit budget")
+        power *= b
+        m += 1
+    return m

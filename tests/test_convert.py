@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import time
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import betaforge as bf
+import betaforge.cli as cli
 from betaforge.cli import run_command
 from betaforge.numerics import _ceil_log2_ratio
 from conftest import RATIONAL_BASES, outcome, random_rational
@@ -173,6 +175,47 @@ class TestAgainstFractionConverter:
     def test_eight_hundred_chunks(self, beta, rng):
         size = bf.params_rational(bf.RationalBeta(beta)).sigma(800)
         assert_same_conversion(beta, rand_bits(rng, size), 800)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 50, 200])
+    @pytest.mark.parametrize("beta", [Fraction(3, 2), Fraction(9, 5), Fraction(7, 4), Fraction(5, 3), Fraction(101, 100)], ids=str)
+    def test_named_bases(self, beta, n, rng):
+        size = bf.params_rational(bf.RationalBeta(beta)).sigma(n)
+        for prefix in (rand_bits(rng, size), "1" * size, "0" * size):
+            assert_same_conversion(beta, prefix, n)
+
+
+def c03_prefixes():
+    """The binary prefixes of acceptance criterion 3: greedy binary digits
+    of 3/4 (200 of them) and of 20 seeded random values (600 each)."""
+    rng = random.Random(3)
+    two = bf.RationalBeta(Fraction(2))
+    out = [bf.greedy_expand(two, Fraction(3, 4), 200)]
+    for _ in range(20):
+        den = rng.randrange(1, 1 << 20)
+        out.append(bf.greedy_expand(two, Fraction(rng.randrange(0, den + 1), den), 600))
+    return out
+
+
+def test_cli_convert_matches_the_fraction_converter(monkeypatch):
+    """`convert` prints the same bytes, plain and --json, with the package's
+    converter and with the Fraction converter behind it, on the c03 prefixes."""
+
+    def fraction_converter(beta, prefix, n):
+        bits, residuals, _ = convert_rational_fractions(beta, prefix, n)
+        return bf.RationalConversion(bits, residuals, bf.params_rational(beta))
+
+    calls = [
+        ["convert", "--beta", beta, "--binary", prefix, "--chunks", chunks] + json
+        for beta in ("3/2", "9/5", "7/4", "5/3")
+        for prefix in c03_prefixes()
+        for chunks in ("3", "4", "40")
+        for json in ([], ["--json"])
+    ]
+    got = [run_command(argv) for argv in calls]
+    monkeypatch.setattr(cli, "convert_rational", fraction_converter)
+    want = [run_command(argv) for argv in calls]
+    assert got == want
+    assert all(status == 0 for status, _, _ in got)
 
 
 @settings(max_examples=300, deadline=None)
@@ -435,6 +478,13 @@ def patch_chunks(monkeypatch, change):
     monkeypatch.setattr(bf.convert, "_orbit", lambda *args: change(*real(*args)))
 
 
+def patch_rational_chunks(monkeypatch, change):
+    """Make every rational converter chunk return change(chunk, x, den) in
+    place of the integer orbit core's (chunk, x, den)."""
+    real = bf.convert._rational_orbit
+    monkeypatch.setattr(bf.convert, "_rational_orbit", lambda *args: change(*real(*args)))
+
+
 class TestInvariantViolations:
     """Every certificate check of the two converters, each reached by
     breaking one schedule parameter or one step."""
@@ -449,9 +499,36 @@ class TestInvariantViolations:
             bf.convert_rational(B32, "1" * 40, 30)
 
     def test_rational_residual(self, monkeypatch):
-        patch_chunks(monkeypatch, lambda chunk, r: (chunk, r + 2))
+        patch_rational_chunks(monkeypatch, lambda chunk, x, den: (chunk, x + 2 * den, den))
         with pytest.raises(bf.InvariantViolation, match=r"^step 0: residual 79/32 left \[0, 1\]$"):
             bf.convert_rational(B32, "1" * 40, 3)
+
+    @pytest.mark.parametrize("x, residual", [(0, Fraction(0)), (32, Fraction(1)), (33, None), (-1, None)])
+    def test_rational_residual_ends(self, x, residual, monkeypatch):
+        # one chunk of 3/2 leaves its residual over 2^sigma(1) * q^N = 32
+        patch_rational_chunks(monkeypatch, lambda chunk, _, den: (chunk, x, den))
+        if residual is None:
+            with pytest.raises(bf.InvariantViolation, match=rf"^step 0: residual {x}/32 left \[0, 1\]$"):
+                bf.convert_rational(B32, "110", 1)
+        else:
+            assert bf.convert_rational(B32, "110", 1).residuals[1] == residual
+
+    @pytest.mark.parametrize("x", [10, 11])
+    def test_rational_carried_sum_at_the_cap(self, x, monkeypatch):
+        # with sigma(i) = i, 5/3 (cap 5/4) injects 25/36 at step 1 from the
+        # bit "1"; a step-0 residual of 10/18 puts the carried sum exactly on
+        # the cap, and 11/18 one residual unit above it
+        patch_params(monkeypatch, "params_rational", sigma_offset=lambda _: -100)
+        first = iter([x])
+        patch_rational_chunks(monkeypatch, lambda chunk, got, den: (chunk, next(first, got), den))
+        beta = bf.RationalBeta(Fraction(5, 3))
+        if x == 10:
+            assert bf.convert_rational(beta, "11", 2).residuals[1:] == (Fraction(5, 9), Fraction(29, 36))
+        else:
+            with pytest.raises(bf.InvariantViolation, match=(
+                r"^step 1: carried sum 47/36 outside \[0, 5/4\]; residual=11/18 injected=25/36 beta=5/3$"
+            )):
+                bf.convert_rational(beta, "11", 2)
 
     def test_stream_schedule_monotonicity(self, monkeypatch, golden):
         patch_params(monkeypatch, "params_stream", floor_log2_C=lambda c: c + 1000)

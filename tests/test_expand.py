@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import betaforge as bf
 from conftest import RATIONAL_BASES, outcome, random_rational
-from oracles import delta_oracle, greedy_oracle, landing_oracle, lazy_oracle, orbit_fractions
+from oracles import delta_oracle, greedy_oracle, landing_oracle, lazy_oracle, least_power_loop, orbit_fractions
 from test_integer_coords import base, rand_value
 
 B32 = bf.RationalBeta(Fraction(3, 2))
@@ -411,6 +411,60 @@ def test_landing_past_the_orbit_cap():
     assert bf.landing_threshold(B32, 2 - Fraction(1, 10**2000)).least_landing == landing_oracle(
         B32, 2 - Fraction(1, 10**2000)
     )
+
+
+def counting_cmp():
+    """A stand-in for `expand.exact_cmp` that counts its calls."""
+    calls = []
+
+    def cmp(a, b):
+        calls.append(1)
+        return bf.exact_cmp(a, b)
+
+    return cmp, calls
+
+
+class TestLeastPowerRefusal:
+    def test_matches_the_loop_under_small_caps(self):
+        """With the cap at 40 powers and the budget at 400 bits the loop is
+        cheap, so every answer and error is checked against it, on targets
+        at, just above and just below exact powers of the base and on powers
+        of two."""
+        rng = random.Random(61)
+        cap, budget = 40, 400
+        cmp, calls = counting_cmp()
+        upfront = 0
+        with (
+            mock.patch.object(bf.expand, "ORBIT_CAP", cap),
+            mock.patch.object(bf.expand, "BIT_BUDGET", budget),
+            mock.patch.object(bf.numerics, "BIT_BUDGET", budget),
+            mock.patch.object(bf.expand, "exact_cmp", cmp),
+        ):
+            for _ in range(3000):
+                q = rng.choice([rng.randrange(2, 16), rng.randrange(2, 1 << 14)])
+                b = Fraction(q + rng.choice([1, 2, rng.randrange(1, q)]), q)
+                k = rng.randrange(0, 100)
+                target = rng.choice([b**k, b**k + Fraction(1, 1 << 40), b**k - Fraction(1, 1 << 40), Fraction(1 << k)])
+                target = rng.choice([target, int(target)]) if target.denominator == 1 else target
+                calls.clear()
+                got = outcome(bf.expand._least_power, b, target)
+                assert got == outcome(least_power_loop, b, target, cap, budget), (b, target)
+                upfront += len(calls) == 1 and isinstance(got, tuple)
+        assert upfront > 1000
+
+    @pytest.mark.parametrize("b, target, error", [
+        # N of the rational converter and of the stream schedule near 1
+        (Fraction(100001, 100000), 2, r"^least power exceeds the orbit cap ORBIT_CAP = 16384$"),
+        # 1994 bits: the budget ends the loop at m = 501, before the cap
+        (Fraction(10**300 + 1, 10**300), 2, r"^a\^502 would exceed the 1000000-bit budget$"),
+        # the landing of 2 - 10^-5000 on 3/2, about 28,400 steps away
+        (Fraction(3, 2), Fraction(10**5000), r"^least power exceeds the orbit cap ORBIT_CAP = 16384$"),
+    ])
+    def test_refuses_before_the_first_product(self, b, target, error):
+        cmp, calls = counting_cmp()
+        with mock.patch.object(bf.expand, "exact_cmp", cmp), pytest.raises(bf.BetaForgeError, match=error):
+            bf.expand._least_power(b, target)
+        assert len(calls) == 1  # the base check alone
 
 
 @pytest.mark.parametrize("name", ["3/2", "golden"])
