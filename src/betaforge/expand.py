@@ -38,7 +38,6 @@ from .numerics import (
     exact_cmp,
     exact_float,
     exact_sign,
-    floor_log2,
     _power_budget,
     _zcoords,
     _zelement,
@@ -188,38 +187,35 @@ def _cap_length(n: int) -> None:
 
 def _least_power(b: ExactReal, target: ExactReal) -> int:
     """Least m >= 0 with b^m >= target, for b > 1; exact_cmp decides each
-    step, so an exact power b^m = target gives m.  A base at or below 1 is a
-    DomainError, since its powers need never reach the target.  An m past
+    probe, so an exact power b^m = target gives m.  A base at or below 1 is
+    a DomainError, since its powers need never reach the target.  An m past
     ORBIT_CAP is a SizeGuardError, as an orbit of that length is, and a
     rational b^m past the power budget a BudgetExceededError.
 
-    A rational b = 1 + delta refuses up front, before the first product, a
-    target the loop would refuse: (1 + delta)^m < e^(m*delta) <
-    2^(3*m*delta/2) for m >= 1, as log2(e) < 3/2, so b^m reaches a target
-    t >= 2 only for m > 2*floor_log2(t) / (3*delta).  When that bound
-    passes the first m at which the loop raises, the same error is raised
-    at once."""
+    The search is exponential, then binary (Bentley and Yao, 1976): it
+    probes m = 0, 1, 3, 7, ..., each probe one exact power b^m and one
+    comparison, up to the limit, the largest m whose power both bounds
+    allow, then bisects the last gap.  An answer m takes at most
+    2*bitlen(m+1) probes, a refusal bitlen(limit) + 1."""
     if exact_cmp(b, 1) <= 0:
         raise DomainError(f"least power needs a base above 1, got {b}")
     # a field base's powers are bounded by the cap alone
     bits = b.numerator.bit_length() + b.denominator.bit_length() if isinstance(b, Fraction) else 0
-
-    def refuse(m):  # the error of the step from b^m to b^(m+1), if any
-        if m == ORBIT_CAP:
+    limit = min(ORBIT_CAP, BIT_BUDGET // bits) if bits else ORBIT_CAP
+    lo, hi = -1, 0  # b^lo < target (lo = -1: no probe yet); hi is the probe
+    while exact_cmp(b**hi, target) < 0:
+        if hi == limit:
+            if limit < ORBIT_CAP:  # the budget set the limit, so this raises
+                _power_budget(limit + 1, bits)
             raise SizeGuardError(f"least power exceeds the orbit cap ORBIT_CAP = {ORBIT_CAP}")
-        _power_budget(m + 1, bits)
-
-    if bits and isinstance(target, (int, Fraction)) and target >= 2:
-        first = min(ORBIT_CAP, BIT_BUDGET // bits)  # the first m the loop refuses
-        if 2 * floor_log2(Fraction(target)) * b.denominator >= 3 * (b.numerator - b.denominator) * first:
-            refuse(first)
-    m = 0
-    p = b - b + 1
-    while exact_cmp(p, target) < 0:
-        refuse(m)
-        p = p * b
-        m += 1
-    return m
+        lo, hi = hi, min(2 * hi + 1, limit)
+    while hi - lo > 1:  # b^lo < target <= b^hi
+        mid = (lo + hi) // 2
+        if exact_cmp(b**mid, target) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def _rational_orbit(p, q, x, den, n, rule, cuts):

@@ -836,13 +836,14 @@ def convert_rational_fractions(beta, binary_prefix: str, n: int):
     return "".join(out), tuple(residuals), sigmas
 
 
-def least_power_loop(b: Fraction, target, cap: int, budget: int) -> int:
-    """`expand._least_power` on a rational base as the plain loop of exact
-    products, with its orbit cap and power budget as arguments: before each
-    product the step refuses past the cap, then past the budget."""
-    bits = b.numerator.bit_length() + b.denominator.bit_length()
-    m, power = 0, Fraction(1)
-    while power < target:
+def least_power_loop(b, target, cap: int, budget: int) -> int:
+    """`expand._least_power` as the plain loop of exact products, with its
+    orbit cap and power budget as arguments: before each product the step
+    refuses past the cap, then, on a rational base, past the budget.  The
+    loop starts from 1 in the base's type, a Fraction or a field element."""
+    bits = b.numerator.bit_length() + b.denominator.bit_length() if isinstance(b, Fraction) else 0
+    m, power = 0, b - b + 1
+    while bf.exact_cmp(power, target) < 0:
         if m == cap:
             raise bf.SizeGuardError(f"least power exceeds the orbit cap ORBIT_CAP = {cap}")
         if (m + 1) * bits > budget:

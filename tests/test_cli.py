@@ -736,6 +736,11 @@ def test_python_dash_m_entry_point():
         # a least power whose base holds 2,000 bits passes the budget first
         (["convert", "--beta", f"{10**300 + 1}/{10**300}", "--binary", "1", "--chunks", "0"],
          "error: a^502 would exceed the 1000000-bit budget\n"),
+        # a base whose chunk size N = 16,983 passes the cap by 4%: the least
+        # power refuses after 16 exact powers
+        (["convert", "--beta", "24501/24500", "--binary", "1", "--chunks", "1"],
+         "error: least power exceeds the orbit cap ORBIT_CAP = 16384\n"),
+        (["bounds", "--beta", "24501/24500"], "error: least power exceeds the orbit cap ORBIT_CAP = 16384\n"),
     ],
 )
 def test_oversized_inputs_end_in_one_error_line(argv, stderr, monkeypatch, tmp_path):
@@ -750,6 +755,24 @@ def test_oversized_inputs_end_in_one_error_line(argv, stderr, monkeypatch, tmp_p
     done = _python_dash_m(argv)
     assert time.perf_counter() - t0 < 5
     assert (done.returncode, done.stdout, done.stderr) == (1, "", stderr.format(limit=limit))
+
+
+def test_convert_json_passes_the_print_limit_where_plain_answers():
+    """`convert --json` prints each residual as an exact fraction.  On
+    101/100 (N = 70) the residual after i chunks has a denominator of about
+    140 i digits, 4,208 after 30 and 4,350 after 31: the default print limit
+    of 4,300 digits lies between, and the plain output of 31 chunks still
+    prints its 31 * 70 digits."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter prints integers of any length")
+    bits = format(random.Random(31).getrandbits(31), "031b")
+    argv = ["convert", "--beta", "101/100", "--binary", bits, "--chunks"]
+    assert run_command([*argv, "30", "--json"])[0] == 0
+    status, out, err = run_command([*argv, "31"])
+    assert (status, len(out), set(out) <= {"0", "1"}, err) == (0, 2170, True, "")
+    error = f"error: number too long to print: more than {limit} digits"
+    assert run_command([*argv, "31", "--json"]) == (1, "", error)
 
 
 def test_long_listing_of_one_word_answers():

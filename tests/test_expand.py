@@ -425,6 +425,23 @@ def counting_cmp():
 
 
 class TestLeastPowerRefusal:
+    """The search decides every case as the plain loop does, in a number of
+    comparisons logarithmic in the answer or in the limit, the largest power
+    the cap and the budget allow; each count includes the base check."""
+
+    @staticmethod
+    def check(b, target, cap, budget):
+        cmp, calls = counting_cmp()
+        with mock.patch.object(bf.expand, "exact_cmp", cmp):
+            got = outcome(bf.expand._least_power, b, target)
+        assert got == outcome(least_power_loop, b, target, cap, budget), (b, target)
+        if isinstance(got, tuple):
+            bits = b.numerator.bit_length() + b.denominator.bit_length() if isinstance(b, Fraction) else 0
+            limit = min(cap, budget // bits) if bits else cap
+            assert len(calls) <= limit.bit_length() + 2, (b, target, len(calls))
+        else:
+            assert len(calls) <= 2 * (got + 1).bit_length() + 2, (b, target, len(calls))
+
     def test_matches_the_loop_under_small_caps(self):
         """With the cap at 40 powers and the budget at 400 bits the loop is
         cheap, so every answer and error is checked against it, on targets
@@ -432,13 +449,10 @@ class TestLeastPowerRefusal:
         of two."""
         rng = random.Random(61)
         cap, budget = 40, 400
-        cmp, calls = counting_cmp()
-        upfront = 0
         with (
             mock.patch.object(bf.expand, "ORBIT_CAP", cap),
             mock.patch.object(bf.expand, "BIT_BUDGET", budget),
             mock.patch.object(bf.numerics, "BIT_BUDGET", budget),
-            mock.patch.object(bf.expand, "exact_cmp", cmp),
         ):
             for _ in range(3000):
                 q = rng.choice([rng.randrange(2, 16), rng.randrange(2, 1 << 14)])
@@ -446,11 +460,38 @@ class TestLeastPowerRefusal:
                 k = rng.randrange(0, 100)
                 target = rng.choice([b**k, b**k + Fraction(1, 1 << 40), b**k - Fraction(1, 1 << 40), Fraction(1 << k)])
                 target = rng.choice([target, int(target)]) if target.denominator == 1 else target
-                calls.clear()
-                got = outcome(bf.expand._least_power, b, target)
-                assert got == outcome(least_power_loop, b, target, cap, budget), (b, target)
-                upfront += len(calls) == 1 and isinstance(got, tuple)
-        assert upfront > 1000
+                self.check(b, target, cap, budget)
+
+    def test_matches_the_loop_where_cap_and_budget_meet(self):
+        """Budgets that stop the powers one before, at and one past the cap,
+        so each of the two errors is raised where the loop raises it."""
+        cap = 40
+        with mock.patch.object(bf.expand, "ORBIT_CAP", cap):
+            for b in (Fraction(17, 16), Fraction(1025, 1024), Fraction(3, 2)):
+                bits = b.numerator.bit_length() + b.denominator.bit_length()
+                for budget in ((cap - 1) * bits, cap * bits, (cap + 1) * bits):
+                    with (
+                        mock.patch.object(bf.expand, "BIT_BUDGET", budget),
+                        mock.patch.object(bf.numerics, "BIT_BUDGET", budget),
+                    ):
+                        for k in range(cap - 2, cap + 3):
+                            for target in (b**k - Fraction(1, 1 << 40), b**k, b**k + Fraction(1, 1 << 40)):
+                                self.check(b, target, cap, budget)
+
+    @pytest.mark.parametrize("name", ["golden", "tribonacci", "sqrt2"])
+    def test_field_bases_match_the_loop(self, name):
+        """A field base under a cap of 64: targets in (0, 2], and exact
+        powers b^k of the base and b^k -+ 2^-40, within and past the cap."""
+        rng = random.Random(67)
+        cap = 64
+        b = bf.beta_value(base(name)[0])
+        eps = Fraction(1, 1 << 40)
+        targets = [Fraction(rng.randrange(1, 2001), 1000) for _ in range(20)] + [Fraction(2), eps]
+        for k in list(range(8)) + [rng.randrange(8, 80) for _ in range(12)] + [cap, cap + 1]:
+            targets += [b**k, b**k + eps, b**k - eps]
+        with mock.patch.object(bf.expand, "ORBIT_CAP", cap):
+            for target in targets:
+                self.check(b, target, cap, bf.numerics.BIT_BUDGET)
 
     @pytest.mark.parametrize("b, target, error", [
         # N of the rational converter and of the stream schedule near 1
@@ -461,10 +502,13 @@ class TestLeastPowerRefusal:
         (Fraction(3, 2), Fraction(10**5000), r"^least power exceeds the orbit cap ORBIT_CAP = 16384$"),
     ])
     def test_refuses_before_the_first_product(self, b, target, error):
+        """No product loop runs: a real near-1, budget or landing refusal
+        takes at most bitlen(limit) + 2 comparisons."""
         cmp, calls = counting_cmp()
         with mock.patch.object(bf.expand, "exact_cmp", cmp), pytest.raises(bf.BetaForgeError, match=error):
             bf.expand._least_power(b, target)
-        assert len(calls) == 1  # the base check alone
+        limit = min(bf.expand.ORBIT_CAP, bf.numerics.BIT_BUDGET // (b.numerator.bit_length() + b.denominator.bit_length()))
+        assert len(calls) <= limit.bit_length() + 2
 
 
 @pytest.mark.parametrize("name", ["3/2", "golden"])
