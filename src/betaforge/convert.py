@@ -10,15 +10,19 @@ computed once from beta, the running integers p^(N*i) and q^(N*i) also
 scale each injected slice, and the residual after i chunks is an integer over
 q^(N*i)*2^sigma(i), stepped by the integer orbit core of `expand`; only the
 recorded residuals are reduced.  For a base known only through the digit stream
-of beta - 1, the converter refines a dyadic approximant a per chunk, scales
-step i by the power a^(N*i) that sigma(i) is read from, and also
+of beta - 1, the converter refines a dyadic approximant a = p/2^e per chunk,
+scales step i by the power a^(N*i) that sigma(i) is read from, and also
 carries a correction term for the error committed by emitting earlier chunks
 against coarser approximants; the schedule is then derived from certified
 rational brackets so every containment needed for well-definedness holds
-with margin.
+with margin.  Its state is integers over denominators known by
+construction: the emitted word's value over p^(N*i), the carried sum over
+2^(e*N*i + sigma(i+1)), stepped by the same integer orbit core.
 
-All state is exact.  An invariant failure means a broken precondition or a
-bug and raises immediately with a state dump; it is never auto-corrected.
+All values are exact, and every check cross-multiplies integers; each
+chunk reduces one fraction per recorded value.  An invariant failure means a
+broken precondition or a bug and raises immediately with a state dump; it is
+never auto-corrected.
 """
 
 from __future__ import annotations
@@ -40,16 +44,14 @@ from .numerics import (
     floor_log2,
     _ceil_log2_ratio,
     _int_powers,
+    _power_budget,
 )
 from .expand import (
     validate_bits,
     _delta2,
     _greedy_rule,
     _least_power,
-    _orbit,
     _rational_orbit,
-    _tail,
-    _word_value,
 )
 
 __all__ = [
@@ -230,7 +232,9 @@ def _dyadic_log2_upper(a: Fraction) -> Fraction:
 
 def stream_from_exact(beta: BetaSpec) -> StreamBeta:
     """View an exactly known base as a stream base: the greedy binary digits
-    of beta - 1 are generated on demand in exact arithmetic.  The brackets
+    of beta - 1 are generated on demand in exact arithmetic, for a rational
+    base on an integer numerator over its fixed denominator, for an
+    algebraic one by one certified sign per digit.  The brackets
     are exact for a rational base; for an algebraic one they are the context's
     `bracket` of width 2^-STREAM_BRACKET_BITS, bisected from the isolating interval,
     so the schedule `params_stream` derives from them does not depend on
@@ -241,21 +245,32 @@ def stream_from_exact(beta: BetaSpec) -> StreamBeta:
     if isinstance(b, Fraction) and b >= 2:
         raise DomainError("stream view needs beta strictly inside (1, 2)")
     frac = b - 1
-    half = Fraction(1, 2)
-
-    def gen():
-        r = frac
-        while True:
-            if exact_cmp(r, half) >= 0:
-                yield 1
-                r = 2 * r - 1
-            else:
-                yield 0
-                r = 2 * r
-
     if isinstance(beta, AlgebraicBeta):
+        half = Fraction(1, 2)
+
+        def gen():
+            r = frac
+            while True:
+                if exact_cmp(r, half) >= 0:
+                    yield 1
+                    r = 2 * r - 1
+                else:
+                    yield 0
+                    r = 2 * r
+
         lo, hi = beta.ctx.bracket(Fraction(1, 1 << STREAM_BRACKET_BITS))
         return StreamBeta(gen, lo, hi)
+
+    def gen():  # r = u / q: 2r >= 1 exactly when 2u >= q
+        u, q = frac.numerator, frac.denominator
+        while True:
+            u <<= 1
+            if u >= q:
+                yield 1
+                u -= q
+            else:
+                yield 0
+
     return StreamBeta(gen, b, b)
 
 
@@ -299,6 +314,55 @@ class StreamConversion:
     sigmas: tuple[int, ...]
 
 
+def _stream_digits(beta: StreamBeta, count: int, k: int) -> str:
+    """The first `count` digits of the stream of beta - 1 as a 0/1 string,
+    for a schedule whose last step raises the approximant a_(n+1), read from
+    all `count` digits, to the power k.  A 1 at digit t (counting from 1)
+    gives that approximant a numerator and a denominator of at least t + 1
+    bits each, so the power budget is charged 2t + 2 bits as soon as such a
+    1 is drawn, and refuses the power before the rest of the stream is read.
+    A short stream is an InsufficientBitsError and a digit other than 0 or 1
+    (bools count as digits) a DomainError naming its index, both decided
+    once `count` digits are drawn."""
+    out = []
+    bad = None
+    for t, digit in enumerate(islice(beta.bit_factory(), count), 1):
+        if digit not in (0, 1):
+            bad = bad or (t - 1, digit)
+        elif digit:
+            _power_budget(k, 2 * t + 2)
+        out.append("1" if digit else "0")
+    if len(out) < count:
+        raise InsufficientBitsError("beta", count)
+    if bad:
+        raise DomainError(f"stream digit {bad[0]} is {bad[1]!r}, not 0 or 1")
+    return "".join(out)
+
+
+def _word_numerator(p: int, e: int, bits: str) -> int:
+    """The integer h with h / p^len(bits) = sum(bits[k] * (2^e/p)^(k+1)),
+    the value of `bits` against the dyadic base p/2^e.  It splits the word
+    in halves u, v (binary splitting): h(uv) = h(u)*p^|v| + 2^(e*|u|)*h(v),
+    so each product is between halves of one size, not the whole word and
+    p."""
+    powers = {}
+
+    def value(lo, hi):
+        if hi - lo <= 16:
+            h = 0
+            for k in range(lo, hi):
+                h *= p
+                if bits[k] == "1":
+                    h += 1 << (e * (k - lo + 1))
+            return h
+        mid = (lo + hi) // 2
+        if hi - mid not in powers:
+            powers[hi - mid] = p ** (hi - mid)
+        return value(lo, mid) * powers[hi - mid] + (value(mid, hi) << (e * (mid - lo)))
+
+    return value(0, len(bits))
+
+
 def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConversion:
     """Convert a binary prefix into N*n digits of an expansion in a base known
     only through the digit stream of beta - 1.
@@ -307,7 +371,8 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
     lam(i+1) base digits; the carried residual is rescaled by the approximant
     ratio and a correction term accounts for re-reading the emitted word
     against the newer approximant.  A base digit other than 0 or 1 (bools
-    count as digits) is a DomainError naming its index.  Every step
+    count as digits) is a DomainError naming its index; the digits are drawn
+    only while a_(n+1)^(N*n) can still pass the power budget.  Every step
     verifies its containment and rate certificates; a failure raises
     InvariantViolation with full state.
     Those checks hold the carried sum in [0, 1 + 3C]: the residual is 0 at
@@ -315,21 +380,25 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
     C after it, the correction at most C.  The carry cap 1 + 3C =
     hi/(2(hi-1)) lies below 1/(b-1) for every approximant b <= hi, so each
     chunk steps the greedy orbit directly.
+
+    The state is integers over denominators known by construction.  Let a =
+    p/2^e be the approximant of step i, m = N*i, a^m = P/Q the scale from
+    the schedule and x the first sigma(i+1) binary digits as an integer.
+    The emitted word's value against a is h/p^m, from one integer pass
+    (`_word_numerator`), and the carried sum residual + injected +
+    correction, a^m times the prefix value x/2^sigma(i+1) less that word
+    value, is (x*P - h*2^sigma(i+1)) / (Q*2^sigma(i+1)), which the integer
+    orbit core `_rational_orbit` steps with no reduction.  Every check
+    cross-multiplies, and each step reduces one fraction per diagnostic
+    value: the residual, the injection, the correction and the gap.
     """
     params = params_stream(beta)
-    n_chunk, big_l, c_low = params.N, params.L, params.C_lower
+    n_chunk, c_low = params.N, params.C_lower
     validate_bits(binary_prefix)
     if n < 0:
         raise DomainError("chunk count must be nonnegative")
 
-    need_beta_bits = params.lam(n + 1)
-    digits = list(islice(beta.bit_factory(), need_beta_bits))
-    if len(digits) < need_beta_bits:
-        raise InsufficientBitsError("beta", need_beta_bits)
-    for k, digit in enumerate(digits):
-        if digit not in (0, 1):
-            raise DomainError(f"stream digit {k} is {digit!r}, not 0 or 1")
-    beta_bits = "".join("1" if digit else "0" for digit in digits)
+    beta_bits = _stream_digits(beta, params.lam(n + 1), n_chunk * n)
     approximants = [1 + _delta2(beta_bits[: params.lam(j)]) for j in range(n + 2)]
     for j, (a, b2) in enumerate(zip(approximants, approximants[1:])):
         if not (1 < a <= b2 <= beta.hi):
@@ -341,11 +410,13 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
                 f"{float(beta.lo):.6g}; stream bits inconsistent with brackets"
             )
 
-    def power(i):  # a_(i+1)^(N*i) as integers: sigma(i) and the scale of step i
-        return _int_powers(approximants[i + 1], n_chunk * i)
+    def power(i):  # a_(i+1)^(N*i) under the power budget: sigma(i) and the scale of step i
+        a, k = approximants[i + 1], n_chunk * i
+        _power_budget(k, a.numerator.bit_length() + a.denominator.bit_length())
+        return a**k
 
     def sigma(i, big):
-        return _ceil_log2_ratio(*big) - params.floor_log2_C if i else 0
+        return _ceil_log2_ratio(big.numerator, big.denominator) - params.floor_log2_C if i else 0
 
     last = sigma(n, power(n))  # checked before the whole schedule is built
     if len(binary_prefix) < last:
@@ -355,24 +426,34 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
     if any(a >= b2 for a, b2 in zip(sigmas, sigmas[1:])):
         raise InvariantViolation(f"binary read schedule not strictly increasing: {sigmas}")
 
+    cn, cd = c_low.numerator, c_low.denominator
+    # the rate cap min(1, C) / (E * hi^(N*i) * N^2 * i^2), hi^(N*i) = big_hn / big_hd
+    rate = min(Fraction(1), c_low) / _E_UPPER / n_chunk**2
+    step_hn, step_hd = beta.hi.numerator**n_chunk, beta.hi.denominator**n_chunk
+    big_hn = big_hd = 1
     emitted = ""
-    emitted_value = Fraction(0)  # value of `emitted` against the current approximant
+    word, word_den = 0, 1  # the value of `emitted` against approximants[i]
+    x = 0  # binary_prefix[:sigmas[i]] as an integer
     residual = Fraction(0)
     diags = []
     for i in range(n):
         b_cur = approximants[i]
         b_next = approximants[i + 1]
-        step_slice = binary_prefix[sigmas[i] : sigmas[i + 1]]
-        scale = Fraction(*scales[i])
-        injected = scale / Fraction(1 << sigmas[i]) * _delta2(step_slice)
-        reread = _word_value(b_next, emitted)
-        correction = scale * (emitted_value - reread)
+        p, e = b_next.numerator, b_next.denominator.bit_length() - 1
+        m, scale = n_chunk * i, scales[i]
+        big_p, big_q = scale.numerator, scale.denominator  # p^m, 2^(e*m)
+        lo, hi = sigmas[i], sigmas[i + 1]
+        s = int(binary_prefix[lo:hi], 2)
+        x = (x << (hi - lo)) + s
+        injected = Fraction(s, 1 << hi) * scale  # each gcd it takes has one small side
+        reread = _word_numerator(p, e, emitted)  # the value of `emitted` against b_next, over big_p
+        corr_n, corr_d = big_p * word - word_den * reread, big_q * word_den
 
         def fail(msg):
             # exact values can run to thousands of digits; dump approximations
             raise InvariantViolation(
                 f"{msg}; step {i}: residual~{float(residual):.6g} injected~{float(injected):.6g} "
-                f"correction~{float(correction):.6g} approximants={[float(a) for a in approximants[i:i+3]]} "
+                f"correction~{corr_n / corr_d:.6g} approximants={[float(a) for a in approximants[i:i+3]]} "
                 f"sigmas={sigmas}"
             )
 
@@ -380,28 +461,34 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
         # so only steps i >= 1 are capped by C; step 0 is capped by 1
         if not (0 <= injected <= (c_low if i >= 1 else 1)):
             fail("injected increment outside its cap")
-        if not (0 <= correction <= c_low):
+        if not (0 <= corr_n and corr_n * cd <= cn * corr_d):
             fail("correction outside [0, C]")
         if i >= 1 and not (0 <= residual <= 1 + c_low):
             fail("carried residual outside [0, 1 + C]")
-        total = residual + injected + correction
         if i >= 1:
-            gap = min(beta.hi - approximants[i], Fraction(1, 1 << params.lam(i)))
-            rate_cap = min(Fraction(1), c_low) / (_E_UPPER * beta.hi ** (n_chunk * i) * n_chunk**2 * i**2)
-            if gap > rate_cap:
+            big_hn, big_hd = big_hn * step_hn, big_hd * step_hd
+            gap = min(beta.hi - b_cur, Fraction(1, 1 << params.lam(i)))
+            if gap.numerator * big_hn * i**2 * rate.denominator > rate.numerator * gap.denominator * big_hd:
                 fail("approximant not tightening fast enough")
-        chunk, shifted = _orbit(b_next, total, n_chunk, _greedy_rule, (1 / b_next,))
-        ratio = (approximants[i + 2] / b_next) ** (n_chunk * (i + 1))
+        # the carried sum residual + injected + correction, over big_q * 2^hi
+        total = x * big_p - (reread << hi)
+        chunk, shifted, _ = _rational_orbit(p, 1 << e, total, big_q << hi, n_chunk, _greedy_rule, ((1 << e, p),))
+        ratio = (approximants[i + 2] / b_next) ** (m + n_chunk)
         if not (1 <= ratio <= 1 + c_low):
             fail("approximant ratio outside [1, 1 + C]")
         step_residual = residual
-        residual = ratio * shifted
+        # ratio * shifted, with shifted over 2^hi * 2^(e*(m+N)) and b_next^(m+N) = p^(m+N) / 2^(e*(m+N))
+        residual = Fraction(shifted, 1 << hi) * (approximants[i + 2] / p) ** (m + n_chunk)
         emitted += chunk
-        emitted_value = reread + _word_value(b_next, chunk) / scale
-        approx_gap = _delta2(binary_prefix[: sigmas[i + 1]]) - emitted_value
-        if not (0 <= approx_gap <= _tail(b_next, n_chunk * (i + 1))):
+        p_chunk = p**n_chunk
+        word, word_den = reread * p_chunk + (_word_numerator(p, e, chunk) << (e * m)), big_p * p_chunk
+        # 0 <= x / 2^hi - word / word_den <= _tail(b_next, m+N) = 2^(e*(m+N+1)) / (word_den * (p - 2^e))
+        drift = x * word_den - (word << hi)
+        if not (0 <= drift and drift * (p - (1 << e)) <= 1 << (e * (m + n_chunk + 1) + hi)):
             fail("emitted word drifted from the binary prefix")
         diags.append(
-            StepDiagnostics(i, b_cur, sigmas[i], step_residual, injected, correction, ratio, approx_gap)
+            StepDiagnostics(
+                i, b_cur, lo, step_residual, injected, Fraction(corr_n, corr_d), ratio, Fraction(drift, word_den << hi)
+            )
         )
     return StreamConversion(emitted, tuple(diags), params, tuple(approximants), tuple(sigmas))

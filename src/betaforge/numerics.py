@@ -328,13 +328,13 @@ def _zmul_beta(poly: Sequence[int], v: list[int]) -> list[int]:
     return w
 
 
-def _columns(poly: Sequence[int], v: Sequence[int]) -> list[list[int]]:
-    """The integer columns of multiplication by v: (a*beta)^j * v for
-    j < degree, each one `_zmul_beta` step from the one before."""
+def _columns(poly: Sequence[int], v: Sequence[int], count: int) -> list[list[int]]:
+    """The first `count` integer columns of multiplication by v: (a*beta)^j * v
+    for j < count, each one `_zmul_beta` step from the one before."""
     cols = [list(v)]
-    for _ in range(len(v) - 1):
+    for _ in range(count - 1):
         cols.append(_zmul_beta(poly, cols[-1]))
-    return cols
+    return cols[:count]
 
 
 def _zdiv_beta(poly: Sequence[int], v: list[int]) -> list[int]:
@@ -438,14 +438,18 @@ class NumberFieldElement:
 
     def __mul__(self, other):
         """x*y = sum(y_j * a^(d-1-j) * (a*beta)^j * x) / a^(d-1), a leading
-        the degree-d minimal polynomial: a sum of the columns of x."""
+        the degree-d minimal polynomial: a sum of the columns of x, built up
+        to the last nonzero coordinate of y."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         ctx = self.ctx
         a, top = ctx.minpoly[-1], ctx.degree - 1
         out = [0] * ctx.degree
-        for j, (y, col) in enumerate(zip(o.num, _columns(ctx.minpoly, self.num))):
+        ys = o.num
+        while ys and not ys[-1]:
+            ys = ys[:-1]
+        for j, (y, col) in enumerate(zip(ys, _columns(ctx.minpoly, self.num, len(ys)))):
             if y:
                 y *= a ** (top - j)
                 out = [s + y * x for s, x in zip(out, col)]
@@ -476,7 +480,7 @@ class NumberFieldElement:
             raise ZeroDivisionError("inverse of zero field element")
         ctx = self.ctx
         d, poly = ctx.degree, ctx.minpoly
-        cols = _columns(poly, self.num)
+        cols = _columns(poly, self.num, d)
         # row i of sum(t_j * cols[j]) = den * e_0, augmented by its right side
         rows = [[c[i] for c in cols] + [self.den if i == 0 else 0] for i in range(d)]
         for j in range(d):

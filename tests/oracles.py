@@ -28,6 +28,11 @@ Fractions, and `convert_rational_fractions`, the rational converter as it
 computed each sigma(i) and injection from a fresh exact power of beta and
 carried its residual, injection and carried sum as reduced Fractions,
 check `expand._orbit` on rational bases and `convert.convert_rational`.
+`convert_stream_fractions`, the stream converter as it re-read the emitted
+word in Fractions against each new approximant and carried its injection,
+correction and residual as reduced Fractions, and `stream_digits_fractions`,
+the rational digit generator of `stream_from_exact` on a Fraction residual,
+check `convert.convert_stream` and `convert.stream_from_exact`.
 """
 
 import functools
@@ -834,6 +839,120 @@ def convert_rational_fractions(beta, binary_prefix: str, n: int):
         out.append(chunk)
         residuals.append(residual)
     return "".join(out), tuple(residuals), sigmas
+
+
+def stream_digits_fractions(b):
+    """The digits of b - 1 for a rational b in (1, 2), as `stream_from_exact`
+    generated them: a Fraction residual r, compared with 1/2 and doubled."""
+    r = b - 1
+    while True:
+        if r >= Fraction(1, 2):
+            yield 1
+            r = 2 * r - 1
+        else:
+            yield 0
+            r = 2 * r
+
+
+def convert_stream_fractions(beta, binary_prefix: str, n: int):
+    """`convert.convert_stream` as it ran on Fractions: every base digit
+    drawn and checked before any size check, each step's injection,
+    correction and residual a reduced Fraction, the emitted word re-read with
+    `expand._word_value` against each new approximant, each chunk from the
+    Fraction orbit `orbit_fractions`, and the rate cap from a fresh power of
+    the upper bracket.  Returns the `StreamConversion` and raises what the
+    converter raised, with the same messages."""
+    from itertools import islice
+
+    from betaforge.convert import _E_UPPER
+    from betaforge.expand import _delta2, _tail, _word_value
+    from betaforge.numerics import _ceil_log2_ratio, _int_powers
+
+    params = bf.params_stream(beta)
+    n_chunk, c_low = params.N, params.C_lower
+    bf.expand.validate_bits(binary_prefix)
+    if n < 0:
+        raise bf.DomainError("chunk count must be nonnegative")
+
+    need_beta_bits = params.lam(n + 1)
+    digits = list(islice(beta.bit_factory(), need_beta_bits))
+    if len(digits) < need_beta_bits:
+        raise bf.InsufficientBitsError("beta", need_beta_bits)
+    for k, digit in enumerate(digits):
+        if digit not in (0, 1):
+            raise bf.DomainError(f"stream digit {k} is {digit!r}, not 0 or 1")
+    beta_bits = "".join("1" if digit else "0" for digit in digits)
+    approximants = [1 + _delta2(beta_bits[: params.lam(j)]) for j in range(n + 2)]
+    for j, (a, b2) in enumerate(zip(approximants, approximants[1:])):
+        if not (1 < a <= b2 <= beta.hi):
+            raise bf.InvariantViolation(f"approximants not nondecreasing within brackets: {a} then {b2}")
+        if a + Fraction(1, 1 << params.lam(j)) < beta.lo:
+            raise bf.InvariantViolation(
+                f"approximant {float(a):.6g} cannot reach the claimed lower bracket "
+                f"{float(beta.lo):.6g}; stream bits inconsistent with brackets"
+            )
+
+    def power(i):
+        return _int_powers(approximants[i + 1], n_chunk * i)
+
+    def sigma(i, big):
+        return _ceil_log2_ratio(*big) - params.floor_log2_C if i else 0
+
+    last = sigma(n, power(n))
+    if len(binary_prefix) < last:
+        raise bf.InsufficientBitsError("binary", last)
+    scales = [power(i) for i in range(n)]
+    sigmas = [sigma(i, big) for i, big in enumerate(scales)] + [last]
+    if any(a >= b2 for a, b2 in zip(sigmas, sigmas[1:])):
+        raise bf.InvariantViolation(f"binary read schedule not strictly increasing: {sigmas}")
+
+    emitted = ""
+    emitted_value = Fraction(0)
+    residual = Fraction(0)
+    diags = []
+    for i in range(n):
+        b_cur = approximants[i]
+        b_next = approximants[i + 1]
+        step_slice = binary_prefix[sigmas[i] : sigmas[i + 1]]
+        scale = Fraction(*scales[i])
+        injected = scale / Fraction(1 << sigmas[i]) * _delta2(step_slice)
+        reread = _word_value(b_next, emitted)
+        correction = scale * (emitted_value - reread)
+
+        def fail(msg):
+            raise bf.InvariantViolation(
+                f"{msg}; step {i}: residual~{float(residual):.6g} injected~{float(injected):.6g} "
+                f"correction~{float(correction):.6g} approximants={[float(a) for a in approximants[i:i+3]]} "
+                f"sigmas={sigmas}"
+            )
+
+        if not (0 <= injected <= (c_low if i >= 1 else 1)):
+            fail("injected increment outside its cap")
+        if not (0 <= correction <= c_low):
+            fail("correction outside [0, C]")
+        if i >= 1 and not (0 <= residual <= 1 + c_low):
+            fail("carried residual outside [0, 1 + C]")
+        total = residual + injected + correction
+        if i >= 1:
+            gap = min(beta.hi - approximants[i], Fraction(1, 1 << params.lam(i)))
+            rate_cap = min(Fraction(1), c_low) / (_E_UPPER * beta.hi ** (n_chunk * i) * n_chunk**2 * i**2)
+            if gap > rate_cap:
+                fail("approximant not tightening fast enough")
+        chunk, shifted = orbit_fractions(b_next, total, n_chunk, lambda i, sign, _: (sign(0) >= 0, None), (1 / b_next,))
+        ratio = (approximants[i + 2] / b_next) ** (n_chunk * (i + 1))
+        if not (1 <= ratio <= 1 + c_low):
+            fail("approximant ratio outside [1, 1 + C]")
+        step_residual = residual
+        residual = ratio * shifted
+        emitted += chunk
+        emitted_value = reread + _word_value(b_next, chunk) / scale
+        approx_gap = _delta2(binary_prefix[: sigmas[i + 1]]) - emitted_value
+        if not (0 <= approx_gap <= _tail(b_next, n_chunk * (i + 1))):
+            fail("emitted word drifted from the binary prefix")
+        diags.append(
+            bf.StepDiagnostics(i, b_cur, sigmas[i], step_residual, injected, correction, ratio, approx_gap)
+        )
+    return bf.StreamConversion(emitted, tuple(diags), params, tuple(approximants), tuple(sigmas))
 
 
 def least_power_loop(b, target, cap: int, budget: int) -> int:

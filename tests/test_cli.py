@@ -741,6 +741,14 @@ def test_python_dash_m_entry_point():
         (["convert", "--beta", "24501/24500", "--binary", "1", "--chunks", "1"],
          "error: least power exceeds the orbit cap ORBIT_CAP = 16384\n"),
         (["bounds", "--beta", "24501/24500"], "error: least power exceeds the orbit cap ORBIT_CAP = 16384\n"),
+        # the stream converter's budget refuses a_(n+1)^(N*n) while the base
+        # digits are drawn, at the first 1 that gives a_(n+1) too many bits
+        (["convert-stream", "--beta", "golden", "--binary", "0101", "--chunks", "2000"],
+         "error: a^54000 would exceed the 1000000-bit budget\n"),
+        (["convert-stream", "--beta", "3/2", "--binary", "0101", "--chunks", "20000"],
+         "error: a^560000 would exceed the 1000000-bit budget\n"),
+        (["convert-stream", "--beta", "golden", "--binary", "0101", "--chunks", "1000000"],
+         "error: a^27000000 would exceed the 1000000-bit budget\n"),
     ],
 )
 def test_oversized_inputs_end_in_one_error_line(argv, stderr, monkeypatch, tmp_path):

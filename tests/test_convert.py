@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -12,7 +13,14 @@ import betaforge.cli as cli
 from betaforge.cli import run_command
 from betaforge.numerics import _ceil_log2_ratio
 from conftest import RATIONAL_BASES, outcome, random_rational
-from oracles import convert_rational_fractions, delta_oracle, dyadic_log2_upper_bisection, greedy_oracle
+from oracles import (
+    convert_rational_fractions,
+    convert_stream_fractions,
+    delta_oracle,
+    dyadic_log2_upper_bisection,
+    greedy_oracle,
+    stream_digits_fractions,
+)
 
 B32 = bf.RationalBeta(Fraction(3, 2))
 
@@ -459,6 +467,167 @@ class TestConvertStream:
         assert chunk[0] == str(1 - step)
 
 
+def assert_same_stream_conversion(beta, prefix, n):
+    """convert_stream and the Fraction converter agree on every field, each
+    StepDiagnostics field included, or raise the same typed error with the
+    same message."""
+    got = outcome(bf.convert_stream, beta, prefix, n)
+    want = outcome(convert_stream_fractions, beta, prefix, n)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, bf.StreamConversion)
+    for field in ("bits", "params", "approximants", "sigmas"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert len(got.diagnostics) == len(want.diagnostics) == max(n, 0)
+    for d, e in zip(got.diagnostics, want.diagnostics):
+        for field in dataclasses.fields(bf.StepDiagnostics):
+            assert getattr(d, field.name) == getattr(e, field.name), (d.index, field.name)
+            assert type(getattr(d, field.name)) is type(getattr(e, field.name))
+
+
+@pytest.fixture
+def shared_params(monkeypatch):
+    """One `params_stream` per pair of brackets, on which alone it depends,
+    for both converters: the presets' schedules take a 2^16-th power each."""
+    real, cache = bf.convert.params_stream, {}
+
+    def params_stream(beta):
+        key = beta.lo, beta.hi
+        if key not in cache:
+            cache[key] = real(beta)
+        return cache[key]
+
+    monkeypatch.setattr(bf.convert, "params_stream", params_stream)
+    monkeypatch.setattr(bf, "params_stream", params_stream)
+
+
+class TestAgainstFractionStreamConverter:
+    """`oracles.convert_stream_fractions` is the stream converter as it ran
+    on Fractions, re-reading the emitted word against each approximant."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.integers(2, (1 << 12) - 2), data=st.data())
+    def test_drawn_rational_bases(self, q, data):
+        p = data.draw(st.integers(q + 1, min(2 * q - 1, (1 << 12) - 1)))
+        n = data.draw(st.integers(0, 8))
+        prefix = data.draw(st.text(alphabet="01", min_size=0, max_size=500))
+        assert_same_stream_conversion(bf.stream_from_exact(bf.RationalBeta(Fraction(p, q))), prefix, n)
+
+    @pytest.mark.parametrize("beta", ["3/2", "9/5", "7/4"])
+    def test_named_rational_bases(self, beta, rng):
+        stream = bf.stream_from_exact(bf.RationalBeta(Fraction(beta)))
+        for n in range(11):
+            assert_same_stream_conversion(stream, rand_bits(rng, 800), n)
+
+    @pytest.mark.parametrize("name", ["golden", "tribonacci", "sqrt2", "cbrt2"])
+    def test_presets(self, name, rng, shared_params):
+        stream = bf.stream_from_exact(bf.get_preset(name).beta)
+        prefix = rand_bits(rng, 800)
+        for n in range(11):
+            assert_same_stream_conversion(stream, prefix, n)
+
+    @pytest.mark.parametrize("bits, lo, hi", [
+        ("1" + "0" * 400, "3/2", "3/2"),  # finite: 3/2 exactly
+        ("11" + "0" * 400, "3/2", "15/8"),
+        ("1001" * 100, "3/2", "13/8"),
+        ("1" + "0" * 400, "8/5", "17/10"),  # bits below the lower bracket
+        ("1" * 400, "3/2", "8/5"),  # bits past the upper bracket
+        ("0000001" + "0" * 400, "3/2", "8/5"),  # first approximant below the floor
+        ("10", "3/2", "3/2"),  # too short
+        ("1001" * 10, "3/2", "13/8"),
+    ])
+    def test_json_stream_bases(self, bits, lo, hi, rng):
+        beta = bf.beta_from_json({"bits": bits, "lo": lo, "hi": hi})
+        for n in range(6):
+            for prefix in (rand_bits(rng, 600), "1" * 600, "0" * 600, "01"):
+                assert_same_stream_conversion(beta, prefix, n)
+
+    def test_cli_matches_on_the_c03_prefixes(self, monkeypatch, shared_params):
+        """`convert-stream` prints the same bytes, plain and --json, with the
+        package's converter and with the Fraction converter behind it."""
+        calls = [
+            ["convert-stream", "--beta", beta, "--binary", prefix, "--chunks", chunks] + json_flag
+            for beta in ("3/2", "9/5", "7/4", "golden")
+            for prefix in c03_prefixes()[:6]
+            for chunks in ("1", "4")
+            for json_flag in ([], ["--json"])
+        ]
+        got = [run_command(argv) for argv in calls]
+        monkeypatch.setattr(cli, "convert_stream", convert_stream_fractions)
+        assert got == [run_command(argv) for argv in calls]
+        assert all(status == 0 for status, _, _ in got)
+
+    def test_rational_digits_match_the_fraction_generator(self):
+        rng = random.Random(200)
+        for _ in range(200):
+            b = 1 + random_rational(rng, Fraction(0), Fraction(1), den_bits=rng.choice([4, 12, 40]))
+            if not 1 < b < 2:
+                continue
+            got = itertools.islice(bf.stream_from_exact(bf.RationalBeta(b)).bit_factory(), 2000)
+            assert list(got) == list(itertools.islice(stream_digits_fractions(b), 2000))
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.integers(3, 1 << 40), e=st.integers(1, 40), bits=st.text(alphabet="01", max_size=80))
+    def test_word_numerator(self, p, e, bits):
+        p |= 1
+        if p <= 1 << e:
+            p += 1 << e
+        h = bf.convert._word_numerator(p, e, bits)
+        assert Fraction(h, p ** len(bits)) == bf.expand._word_value(Fraction(p, 1 << e), bits)
+
+
+class TestStreamDigitsUnderTheBudget:
+    """The budget refuses a_(n+1)^(N*n) while the base digits are drawn."""
+
+    def counted(self, digits, lo="3/2", hi="3/2"):
+        drawn = []
+
+        def factory():
+            for d in digits():
+                drawn.append(d)
+                yield d
+
+        return bf.StreamBeta(factory, Fraction(lo), Fraction(hi)), drawn
+
+    def test_refused_at_the_first_one_past_the_budget(self):
+        # 3/2 (N = 28): a 1 at digit t charges 28*n*(2t + 2) bits
+        beta, drawn = self.counted(lambda: itertools.chain([1], itertools.repeat(0)))
+        with pytest.raises(bf.BudgetExceededError, match=r"^a\^560000 would exceed the 1000000-bit budget$"):
+            bf.convert_stream(beta, "0101", 20000)
+        assert len(drawn) == 1
+        # at n = 8928 a lone leading 1 passes (28 * 8928 * 4 <= 10^6), a second 1 at digit 2 does not
+        beta, drawn = self.counted(lambda: itertools.chain([1, 1], itertools.repeat(0)))
+        with pytest.raises(bf.BudgetExceededError, match=r"^a\^249984 would exceed the 1000000-bit budget$"):
+            bf.convert_stream(beta, "0101", 8928)
+        assert len(drawn) == 2
+
+    def test_same_message_as_after_the_whole_draw(self):
+        # golden at 26 chunks fails the budget only on the digits past the
+        # first 1s, so the refusal comes where the old full draw put it
+        golden = bf.stream_from_exact(bf.get_preset("golden").beta)
+        for n in (26, 27, 40):
+            assert outcome(bf.convert_stream, golden, "0101", n) == outcome(convert_stream_fractions, golden, "0101", n)
+
+    @pytest.mark.parametrize("digits, old", [
+        ("10", bf.InsufficientBitsError),  # short
+        ("12" + "0" * 10, bf.InsufficientBitsError),  # short and invalid
+        ("21" + "0" * 10, bf.InsufficientBitsError),
+    ])
+    def test_short_or_invalid_streams_with_huge_counts(self, digits, old):
+        """Streams that the full draw refused as short or invalid now meet the
+        budget first, at a 1 that no a_(n+1) could carry."""
+        beta = bf.StreamBeta(lambda: iter(int(c) for c in digits), Fraction(3, 2), Fraction(3, 2))
+        assert outcome(convert_stream_fractions, beta, "0101", 20000)[0] is old
+        with pytest.raises(bf.BudgetExceededError, match=r"^a\^560000 would exceed the 1000000-bit budget$"):
+            bf.convert_stream(beta, "0101", 20000)
+
+    def test_invalid_digit_is_still_named_below_the_budget(self):
+        beta = bf.StreamBeta(lambda: itertools.chain([1, 0, 2], itertools.repeat(0)), Fraction(3, 2), Fraction(3, 2))
+        with pytest.raises(bf.DomainError, match="^stream digit 2 is 2, not 0 or 1$"):
+            bf.convert_stream(beta, "0101", 3)
+
+
 def patch_params(monkeypatch, name, **change):
     """Make bf.convert.<name> return its schedule with each field in
     `change` replaced by that function of its unpatched value."""
@@ -471,16 +640,9 @@ def patch_params(monkeypatch, name, **change):
     monkeypatch.setattr(bf.convert, name, patched)
 
 
-def patch_chunks(monkeypatch, change):
-    """Make every converter chunk return change(chunk, residual) in place of
-    the orbit's (chunk, residual)."""
-    real = bf.convert._orbit
-    monkeypatch.setattr(bf.convert, "_orbit", lambda *args: change(*real(*args)))
-
-
 def patch_rational_chunks(monkeypatch, change):
-    """Make every rational converter chunk return change(chunk, x, den) in
-    place of the integer orbit core's (chunk, x, den)."""
+    """Make every converter chunk return change(chunk, x, den) in place of
+    the integer orbit core's (chunk, x, den)."""
     real = bf.convert._rational_orbit
     monkeypatch.setattr(bf.convert, "_rational_orbit", lambda *args: change(*real(*args)))
 
@@ -541,9 +703,10 @@ class TestInvariantViolations:
          lambda mp: patch_params(mp, "params_stream", floor_log2_C=lambda c: c + 1)),
         # every word value, the reread of the emitted word included, 1 too low
         (r"correction outside \[0, C\]", 0,
-         lambda mp: mp.setattr(bf.convert, "_word_value", lambda b, bits, real=bf.convert._word_value: real(b, bits) - 1)),
+         lambda mp: mp.setattr(bf.convert, "_word_numerator", lambda p, e, bits, real=bf.convert._word_numerator:
+                               real(p, e, bits) - p ** len(bits))),
         (r"carried residual outside \[0, 1 \+ C\]", 1,
-         lambda mp: patch_chunks(mp, lambda chunk, r: (chunk, r + 2))),
+         lambda mp: patch_rational_chunks(mp, lambda chunk, x, den: (chunk, x + 2 * den, den))),
         # too few base digits read up front
         ("approximant not tightening fast enough", 1,
          lambda mp: patch_params(mp, "params_stream", L=lambda _: 1)),
@@ -551,7 +714,7 @@ class TestInvariantViolations:
         (r"approximant ratio outside \[1, 1 \+ C\]", 0,
          lambda mp: patch_params(mp, "params_stream", C_lower=lambda _: Fraction(0))),
         ("emitted word drifted from the binary prefix", 0,
-         lambda mp: patch_chunks(mp, lambda chunk, r: ("0" * len(chunk), r))),
+         lambda mp: patch_rational_chunks(mp, lambda chunk, x, den: ("0" * len(chunk), x, den))),
     ], ids=["injected", "correction", "residual", "rate", "ratio", "drift"])
     def test_stream_step_checks(self, check, step, breaks, monkeypatch, golden):
         breaks(monkeypatch)
