@@ -52,6 +52,7 @@ from .expand import (
     _greedy_rule,
     _least_power,
     _rational_orbit,
+    _tail,
 )
 
 __all__ = [
@@ -426,7 +427,6 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
     if any(a >= b2 for a, b2 in zip(sigmas, sigmas[1:])):
         raise InvariantViolation(f"binary read schedule not strictly increasing: {sigmas}")
 
-    cn, cd = c_low.numerator, c_low.denominator
     # the rate cap min(1, C) / (E * hi^(N*i) * N^2 * i^2), hi^(N*i) = big_hn / big_hd
     rate = min(Fraction(1), c_low) / _E_UPPER / n_chunk**2
     step_hn, step_hd = beta.hi.numerator**n_chunk, beta.hi.denominator**n_chunk
@@ -447,13 +447,13 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
         x = (x << (hi - lo)) + s
         injected = Fraction(s, 1 << hi) * scale  # each gcd it takes has one small side
         reread = _word_numerator(p, e, emitted)  # the value of `emitted` against b_next, over big_p
-        corr_n, corr_d = big_p * word - word_den * reread, big_q * word_den
+        correction = Fraction(big_p * word - word_den * reread, big_q * word_den)
 
         def fail(msg):
             # exact values can run to thousands of digits; dump approximations
             raise InvariantViolation(
                 f"{msg}; step {i}: residual~{float(residual):.6g} injected~{float(injected):.6g} "
-                f"correction~{corr_n / corr_d:.6g} approximants={[float(a) for a in approximants[i:i+3]]} "
+                f"correction~{float(correction):.6g} approximants={[float(a) for a in approximants[i:i+3]]} "
                 f"sigmas={sigmas}"
             )
 
@@ -461,7 +461,7 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
         # so only steps i >= 1 are capped by C; step 0 is capped by 1
         if not (0 <= injected <= (c_low if i >= 1 else 1)):
             fail("injected increment outside its cap")
-        if not (0 <= corr_n and corr_n * cd <= cn * corr_d):
+        if not (0 <= correction <= c_low):
             fail("correction outside [0, C]")
         if i >= 1 and not (0 <= residual <= 1 + c_low):
             fail("carried residual outside [0, 1 + C]")
@@ -482,13 +482,8 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
         emitted += chunk
         p_chunk = p**n_chunk
         word, word_den = reread * p_chunk + (_word_numerator(p, e, chunk) << (e * m)), big_p * p_chunk
-        # 0 <= x / 2^hi - word / word_den <= _tail(b_next, m+N) = 2^(e*(m+N+1)) / (word_den * (p - 2^e))
-        drift = x * word_den - (word << hi)
-        if not (0 <= drift and drift * (p - (1 << e)) <= 1 << (e * (m + n_chunk + 1) + hi)):
+        approx_gap = Fraction(x * word_den - (word << hi), word_den << hi)
+        if not (0 <= approx_gap <= _tail(b_next, m + n_chunk)):
             fail("emitted word drifted from the binary prefix")
-        diags.append(
-            StepDiagnostics(
-                i, b_cur, lo, step_residual, injected, Fraction(corr_n, corr_d), ratio, Fraction(drift, word_den << hi)
-            )
-        )
+        diags.append(StepDiagnostics(i, b_cur, lo, step_residual, injected, correction, ratio, approx_gap))
     return StreamConversion(emitted, tuple(diags), params, tuple(approximants), tuple(sigmas))
