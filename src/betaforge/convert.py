@@ -349,7 +349,7 @@ def _word_numerator(p: int, e: int, bits: str) -> int:
     powers = {}
 
     def value(lo, hi):
-        if hi - lo <= 16:
+        if hi - lo <= 16:  # a short word by Horner's rule
             h = 0
             for k in range(lo, hi):
                 h *= p
