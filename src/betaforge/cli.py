@@ -8,6 +8,10 @@ of `betaforge.pairing`.  Each subcommand is one `COMMANDS` entry, declared by
 `_command` on its handler.  `run_command` parses `--beta` once and formats
 `--json` once; a handler returns the JSON object and the plain text, either
 of them deferred as a function when only its own mode needs the work.
+The module imports what parsing needs, and `multivalued`, whose
+`enumerate_expansions` the benchmark's tracer test reads here; a handler
+imports `convert`, `canonical`, `tosses_adc` or `pairing` when it runs, so
+each call loads only the modules of its subcommand.
 
 Bases are accepted as a preset name, a rational "p/q" or decimal literal, an
 algebraic JSON object {"minpoly": [...], "isolating": ["p/q", "r/s"]}, or a
@@ -49,18 +53,8 @@ from .expand import (
     random_expand,
     _delta2,
 )
-from .convert import (
-    convert_rational,
-    convert_stream,
-    params_rational,
-    params_stream,
-    stream_from_exact,
-)
 from .algebraic import Preset, builtin_presets, separation_bound, _preset
-from .canonical import m_beta_bruteforce, m_beta_fast
 from .multivalued import enumerate_expansions, g_beta_window, nu_measure
-from .pairing import decode_pairing, encode_pairing
-from .tosses_adc import Quantizer, adc_run, denoise_pipeline, replay_tosses, validate_quantizer
 
 __all__ = ["run_command", "main"]
 
@@ -140,6 +134,12 @@ def parse_beta(text: str) -> tuple[BetaSpec, Optional[Preset]]:
     return RationalBeta(parse_rational(text)), None
 
 
+def _encode_pairing(items: list[str]) -> str:
+    from .pairing import encode_pairing
+
+    return encode_pairing(items)
+
+
 def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -198,6 +198,8 @@ def _random(args, beta, preset):
 
 @_command("convert", "binary prefix to expansion chunks, rational base", *CONVERTER)
 def _convert(args, beta, preset):
+    from .convert import convert_rational
+
     if not isinstance(beta, RationalBeta):
         raise DomainError("convert needs a rational base; use convert-stream otherwise")
     res = convert_rational(beta, args.binary, args.chunks)
@@ -211,6 +213,8 @@ def _convert(args, beta, preset):
 
 @_command("convert-stream", "binary prefix to expansion chunks, stream base", *CONVERTER)
 def _convert_stream(args, beta, preset):
+    from .convert import convert_stream, stream_from_exact
+
     res = convert_stream(stream_from_exact(beta), args.binary, args.chunks)
     # exact step values can run to thousands of digits; the session JSON
     # carries float views, the library API keeps them exact
@@ -235,6 +239,8 @@ def _convert_stream(args, beta, preset):
 
 @_command("canonicalize", "lexicographically maximal equal-value word", BETA, BITS, METHOD)
 def _canonicalize(args, beta, preset):
+    from .canonical import m_beta_bruteforce, m_beta_fast
+
     if args.method == "bruteforce":
         word = m_beta_bruteforce(beta, args.bits)
         return {"bits": word}, word
@@ -253,13 +259,13 @@ def _canonicalize(args, beta, preset):
 def _enumerate(args, beta, preset):
     words = enumerate_expansions(beta, parse_value(args.s), args.n)
     # only the plain text builds a pairing code, which may exceed its cap
-    return {"count": len(words), "words": words}, lambda: encode_pairing(words) if args.pairing else "\n".join(words)
+    return {"count": len(words), "words": words}, lambda: _encode_pairing(words) if args.pairing else "\n".join(words)
 
 
 @_command("classes", "value classes in the window around a word", BETA, BITS, CLASS_PAIRING)
 def _classes(args, beta, preset):
     part = g_beta_window(beta, args.bits)
-    join = encode_pairing if args.pairing else " ".join
+    join = _encode_pairing if args.pairing else " ".join
     return lambda: {
         "word_length": part.word_length,
         "classes": [{"value": exact_float(c.value), "members": list(c.members)} for c in part.classes],
@@ -268,6 +274,8 @@ def _classes(args, beta, preset):
 
 @_command("tosses", "extract the tosses behind an expansion prefix", BETA, S, _req("--x"))
 def _tosses(args, beta, preset):
+    from .tosses_adc import replay_tosses
+
     w = replay_tosses(beta, parse_value(args.s), args.x)
     return {"tosses": w}, w
 
@@ -275,6 +283,8 @@ def _tosses(args, beta, preset):
 @_command("pipeline", "comparator run followed by canonicalization", *DEVICE)
 @_command("adc", "imperfect-comparator conversion run", *DEVICE)
 def _device(args, beta, preset):
+    from .tosses_adc import Quantizer, adc_run, denoise_pipeline, validate_quantizer
+
     q = Quantizer(parse_value(args.t), parse_value(args.eps))
     s, tosses = parse_value(args.s), parse_tosses(args.tosses)
     if args.command == "pipeline":
@@ -294,6 +304,8 @@ def _device(args, beta, preset):
 
 @_command("bounds", "separation bound and converter schedules", BETA, ("--n", {"type": int}))
 def _bounds(args, beta, preset):
+    from .convert import params_rational, params_stream, stream_from_exact
+
     if isinstance(beta, RationalBeta) and beta.value == 2:
         # not a preset, and both converter schedules need beta < 2
         raise DomainError("bounds: base 2 has no separation bound and no converter schedule")
@@ -321,7 +333,7 @@ def _measure(args, beta, preset):
 
 @_command("encode", "pairing-encode bitstrings", ("items", {"nargs": "+"}))
 def _encode(args, *_):
-    enc = encode_pairing(list(args.items))
+    enc = _encode_pairing(list(args.items))
     return {"encoded": enc}, enc
 
 
@@ -330,6 +342,8 @@ def _encode(args, *_):
     _req("--raw"), ("--arity", {"type": int}), ("--item-length", {"type": int}),
 )
 def _decode(args, *_):
+    from .pairing import decode_pairing
+
     items = decode_pairing(args.raw, args.arity, args.item_length)
     return {"items": items}, " ".join(items)
 

@@ -48,7 +48,6 @@ from .numerics import (
 )
 from .expand import (
     validate_bits,
-    _delta2,
     _greedy_rule,
     _least_power,
     _rational_orbit,
@@ -340,6 +339,17 @@ def _stream_digits(beta: StreamBeta, count: int, k: int) -> str:
     return "".join(out)
 
 
+def _approximant_numerators(bits: str, lams: list[int]):
+    """(u, l) for each l of the increasing `lams`: u / 2^l is 1 + 0.bits[:l],
+    the dyadic approximant read from the first l base digits.  One running
+    integer takes each next l from the last, so no prefix is read twice."""
+    u, prev = 1, 0
+    for l in lams:
+        u = (u << (l - prev)) + int(bits[prev:l] or "0", 2)
+        prev = l
+        yield u, l
+
+
 def _word_numerator(p: int, e: int, bits: str) -> int:
     """The integer h with h / p^len(bits) = sum(bits[k] * (2^e/p)^(k+1)),
     the value of `bits` against the dyadic base p/2^e.  It splits the word
@@ -400,29 +410,38 @@ def convert_stream(beta: StreamBeta, binary_prefix: str, n: int) -> StreamConver
         raise DomainError("chunk count must be nonnegative")
 
     beta_bits = _stream_digits(beta, params.lam(n + 1), n_chunk * n)
-    approximants = [1 + _delta2(beta_bits[: params.lam(j)]) for j in range(n + 2)]
-    for j, (a, b2) in enumerate(zip(approximants, approximants[1:])):
-        if not (1 < a <= b2 <= beta.hi):
-            raise InvariantViolation(f"approximants not nondecreasing within brackets: {a} then {b2}")
-        # genuine digits pin beta into [a, a + 2^-lam(j)], which must meet [lo, hi]
-        if a + Fraction(1, 1 << params.lam(j)) < beta.lo:
+    lams = [params.lam(j) for j in range(n + 2)]
+    (lo_n, lo_d), (hi_n, hi_d) = beta.lo.as_integer_ratio(), beta.hi.as_integer_ratio()
+    # approximant j is u / 2^l, l = lams[j]: the checks cross-multiply, and
+    # only a failure or the last approximant builds a Fraction
+    pairs = _approximant_numerators(beta_bits, lams)
+    u, l = next(pairs)
+    for u2, l2 in pairs:
+        if not ((1 << l) < u and u << (l2 - l) <= u2 and u2 * hi_d <= hi_n << l2):
             raise InvariantViolation(
-                f"approximant {float(a):.6g} cannot reach the claimed lower bracket "
+                f"approximants not nondecreasing within brackets: {Fraction(u, 1 << l)} then {Fraction(u2, 1 << l2)}"
+            )
+        # genuine digits pin beta into [a, a + 2^-lam(j)], which must meet [lo, hi]
+        if (u + 1) * lo_d < lo_n << l:
+            raise InvariantViolation(
+                f"approximant {float(Fraction(u, 1 << l)):.6g} cannot reach the claimed lower bracket "
                 f"{float(beta.lo):.6g}; stream bits inconsistent with brackets"
             )
+        u, l = u2, l2
 
-    def power(i):  # a_(i+1)^(N*i) under the power budget: sigma(i) and the scale of step i
-        a, k = approximants[i + 1], n_chunk * i
+    def power(a, i):  # a_(i+1)^(N*i) under the power budget: sigma(i) and the scale of step i
+        k = n_chunk * i
         _power_budget(k, a.numerator.bit_length() + a.denominator.bit_length())
         return a**k
 
     def sigma(i, big):
         return _ceil_log2_ratio(big.numerator, big.denominator) - params.floor_log2_C if i else 0
 
-    last = sigma(n, power(n))  # checked before the whole schedule is built
+    last = sigma(n, power(Fraction(u, 1 << l), n))  # checked before the whole schedule is built
     if len(binary_prefix) < last:
         raise InsufficientBitsError("binary", last)
-    scales = [power(i) for i in range(n)]
+    approximants = [Fraction(u, 1 << l) for u, l in _approximant_numerators(beta_bits, lams)]
+    scales = [power(approximants[i + 1], i) for i in range(n)]
     sigmas = [sigma(i, big) for i, big in enumerate(scales)] + [last]
     if any(a >= b2 for a, b2 in zip(sigmas, sigmas[1:])):
         raise InvariantViolation(f"binary read schedule not strictly increasing: {sigmas}")

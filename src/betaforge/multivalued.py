@@ -46,8 +46,8 @@ from .numerics import (
 )
 from .expand import delta_finite, tail_bound, validate_bits
 from .expand import _cap_length, _check_in_domain, _delta2, _least_power, _tail, _word_value
-from . import algebraic
 from .algebraic import ClassPartition, _window_walk
+from . import algebraic  # bound on the package by the line above, not by its lazy __getattr__
 
 __all__ = [
     "CandidateSet",

@@ -672,20 +672,27 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
 
 
-def _python_dash_m(argv):
-    """`python -m betaforge argv` in a child limited to CHILD_MEMORY bytes
+def _python_dash_m(argv, module="betaforge"):
+    """`python -m <module> argv` in a child limited to CHILD_MEMORY bytes
     of address space where the platform can set one, so a call that
     outgrows it fails its test instead of exhausting the machine."""
     src = os.path.dirname(os.path.dirname(bf.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "betaforge", *argv], capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=60,
         preexec_fn=_limit_memory if os.name == "posix" else None,
     )
 
 
 def test_python_dash_m_entry_point():
     done = _python_dash_m(["lazy", "--beta", "2", "--s", "3/4", "--n", "4"])
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1011\n", "")
+
+
+def test_python_dash_m_cli_module_prints_no_warning():
+    # `import betaforge` leaves `betaforge.cli` unloaded, so runpy runs it
+    # as __main__ without warning that it is already in sys.modules
+    done = _python_dash_m(["lazy", "--beta", "2", "--s", "3/4", "--n", "4"], "betaforge.cli")
     assert (done.returncode, done.stdout, done.stderr) == (0, "1011\n", "")
 
 
@@ -749,6 +756,10 @@ def test_python_dash_m_entry_point():
          "error: a^560000 would exceed the 1000000-bit budget\n"),
         (["convert-stream", "--beta", "golden", "--binary", "0101", "--chunks", "1000000"],
          "error: a^27000000 would exceed the 1000000-bit budget\n"),
+        # the largest count the budget admits for 3/2, refused on its binary
+        # prefix before the approximants past the last are built
+        (["convert-stream", "--beta", "3/2", "--binary", "0101", "--chunks", "8928"],
+         "error: insufficient binary bits: need at least 146235\n"),
     ],
 )
 def test_oversized_inputs_end_in_one_error_line(argv, stderr, monkeypatch, tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import betaforge as bf
-import betaforge.cli as cli
 from betaforge.cli import run_command
 from betaforge.numerics import _ceil_log2_ratio
 from conftest import RATIONAL_BASES, outcome, random_rational
@@ -208,7 +207,10 @@ def test_cli_convert_matches_the_fraction_converter(monkeypatch):
     """`convert` prints the same bytes, plain and --json, with the package's
     converter and with the Fraction converter behind it, on the c03 prefixes."""
 
+    used = []
+
     def fraction_converter(beta, prefix, n):
+        used.append(n)
         bits, residuals, _ = convert_rational_fractions(beta, prefix, n)
         return bf.RationalConversion(bits, residuals, bf.params_rational(beta))
 
@@ -220,8 +222,10 @@ def test_cli_convert_matches_the_fraction_converter(monkeypatch):
         for json in ([], ["--json"])
     ]
     got = [run_command(argv) for argv in calls]
-    monkeypatch.setattr(cli, "convert_rational", fraction_converter)
+    # the handler looks the converter up in `betaforge.convert` at call time
+    monkeypatch.setattr(bf.convert, "convert_rational", fraction_converter)
     want = [run_command(argv) for argv in calls]
+    assert len(used) == len(calls)
     assert got == want
     assert all(status == 0 for status, _, _ in got)
 
@@ -447,6 +451,20 @@ class TestConvertStream:
         with pytest.raises(bf.InvariantViolation, match="stream bits inconsistent with brackets$"):
             bf.convert_stream(bad, "0" * 400, 2)
 
+    @pytest.mark.parametrize("bits, lo, hi", [
+        ("1" + "0" * 400, "8/5", "17/10"),
+        ("1" * 400, "3/2", "8/5"),
+        ("0000001" + "0" * 400, "3/2", "8/5"),
+        ("1" + "0" * 40 + "1" * 360, "3/2", "3/2"),
+        ("0" * 401, "3/2", "8/5"),
+    ])
+    def test_approximant_refusals_match_the_fraction_converter(self, bits, lo, hi):
+        # the checks cross-multiply integers; the messages print the same Fractions
+        bad = bf.beta_from_json({"bits": bits, "lo": lo, "hi": hi})
+        got = outcome(bf.convert_stream, bad, "0" * 400, 2)
+        assert got[0] is bf.InvariantViolation
+        assert got == outcome(convert_stream_fractions, bad, "0" * 400, 2)
+
     @pytest.mark.parametrize("step", [0, 1])
     def test_chunk_cut_is_the_next_approximant(self, step):
         # beta - 1 reads as 3/5 = 0.(1001) up to bit lam(step) and as ones
@@ -554,8 +572,15 @@ class TestAgainstFractionStreamConverter:
             for json_flag in ([], ["--json"])
         ]
         got = [run_command(argv) for argv in calls]
-        monkeypatch.setattr(cli, "convert_stream", convert_stream_fractions)
+        used = []
+
+        def fraction_converter(beta, prefix, n):
+            used.append(n)
+            return convert_stream_fractions(beta, prefix, n)
+
+        monkeypatch.setattr(bf.convert, "convert_stream", fraction_converter)
         assert got == [run_command(argv) for argv in calls]
+        assert len(used) == len(calls)
         assert all(status == 0 for status, _, _ in got)
 
     def test_rational_digits_match_the_fraction_generator(self):
